@@ -12,11 +12,18 @@ tools can re-check identities bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
+from collections.abc import Iterator
+from itertools import islice
+from typing import TextIO
 
 from . import dynamics, group, orbit, verify
+
+
+# Rows formatted and written per write call by `simulate`.
+_CHUNK_ROWS = 4096
 
 
 def _finite(text: str) -> float:
@@ -30,10 +37,13 @@ def _finite(text: str) -> float:
 
 
 def _fmt(x: float) -> str:
-    """Shortest round-trip form; integral values print without a fraction."""
-    if abs(x) < 1e16 and float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
+    """Shortest round-trip form; integral values print without a fraction.
+
+    repr ends in ".0" exactly on integral values below 1e16 in magnitude (it
+    writes larger ones in exponent form); dropping that suffix keeps -0 signed.
+    """
+    r = repr(x)
+    return r[:-2] if r.endswith(".0") else r
 
 
 def _fail(message: str) -> int:
@@ -57,33 +67,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _write_trajectory(fh: TextIO, rows: Iterator[tuple[float, float]], fmt: str,
+                      q: float, energy: float) -> None:
+    """Write the (t, p) rows with the constant q and H, a chunk at a time.
+
+    The bytes are those of joining every formatted record (CSV) or of one
+    json.dumps over all records (JSON); memory does not grow with the rows.
+    """
+    if fmt == "csv":
+        fh.write("t,p,q,H\n")
+        tail = f",{_fmt(q)},{_fmt(energy)}\n"
+        while chunk := "".join([f"{t!r},{p!r}{tail}" for t, p in islice(rows, _CHUNK_ROWS)]):
+            # _fmt over the chunk at once: t and p are the only fields that
+            # can end in ".0", and each is followed by a comma.
+            fh.write(chunk.replace(".0,", ","))
+    else:
+        # json.dumps writes a finite float as its repr.
+        tail = f', "q": {q!r}, "H": {energy!r}}}'
+        sep = "["
+        while chunk := ", ".join(
+            [f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in islice(rows, _CHUNK_ROWS)]
+        ):
+            fh.write(sep)
+            fh.write(chunk)
+            sep = ", "
+        fh.write("]\n")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = dynamics.SimulationConfig(
             m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
             t_max=args.t_max, dt=args.dt, integrator=args.integrator,
         )
-        samples = dynamics.simulate(cfg)
+        energy, rows = dynamics.trajectory(cfg)
     except ValueError as err:
-        # Covers config validation and mid-run overflow to non-finite values.
+        # Covers config validation and any sample that would not be finite;
+        # nothing has been written yet.
         return _fail(str(err))
 
-    if args.format == "csv":
-        lines = ["t,p,q,H"]
-        lines += [f"{_fmt(s.t)},{_fmt(s.p)},{_fmt(s.q)},{_fmt(s.H)}" for s in samples]
-        payload = "\n".join(lines) + "\n"
-    else:
-        records = [{"t": s.t, "p": s.p, "q": s.q, "H": s.H} for s in samples]
-        payload = json.dumps(records) + "\n"
-
     if args.out is None:
-        sys.stdout.write(payload)
-    else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as err:
-            return _fail(f"cannot write {args.out!r}: {err}")
+            _write_trajectory(sys.stdout, rows, args.format, cfg.q0, energy)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early, as `| head` does.  Point stdout at
+            # devnull so the final flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_trajectory(fh, rows, args.format, cfg.q0, energy)
+    except OSError as err:
+        return _fail(f"cannot write {args.out!r}: {err}")
     return 0
 
 

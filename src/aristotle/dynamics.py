@@ -16,6 +16,7 @@ by tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .orbit import OrbitContext, OrbitPoint, OrbitTangent
@@ -91,46 +92,78 @@ def physical_drift(ctx: OrbitContext) -> OrbitTangent:
     return OrbitTangent(ctx.m * ctx.g, 0.0)
 
 
-def _time_grid(t_max: float, dt: float) -> tuple[list[float], bool]:
-    """Grid 0, dt, ..., n*dt with n = floor(t_max/dt), clamped so no grid point
-    exceeds t_max; the flag says whether an exact final sample at t_max must
-    be appended.  Grid points are k*dt rather than accumulated sums, so the
-    sample count never depends on summation order.
+def _time_grid(t_max: float, dt: float) -> tuple[int, bool]:
+    """(n, final): the grid is 0, dt, ..., n*dt with n = floor(t_max/dt),
+    clamped so no grid point exceeds t_max, and ``final`` says whether an
+    exact final sample at t_max follows it.  Grid points are k*dt rather than
+    accumulated sums, so the sample count never depends on summation order.
     """
-    n = int(math.floor(t_max / dt))
+    steps = t_max / dt
+    if math.isinf(steps):
+        raise ValueError("too many samples: t_max/dt overflows")
+    n = int(math.floor(steps))
     while n > 0 and n * dt > t_max:
         n -= 1
-    grid = [k * dt for k in range(n + 1)]
-    return grid, grid[-1] < t_max
+    return n, n * dt < t_max
+
+
+def _rows(cfg: SimulationConfig, ctx: OrbitContext) -> Iterator[tuple[float, float]]:
+    """(t, p) of every sample on the grid of cfg, final point included."""
+    n, final = _time_grid(cfg.t_max, cfg.dt)
+    p0, dt, t_max = cfg.p0, cfg.dt, cfg.t_max
+    if cfg.integrator == "exact":
+        mg = ctx.m * ctx.g
+        for k in range(n + 1):
+            t = k * dt
+            yield t, p0 + mg * t  # evolve_exact, without a point per row
+        if final:
+            yield t_max, p0 + mg * t_max
+    else:
+        drift = physical_drift(ctx).dp
+        step = drift * dt
+        p = p0
+        for k in range(n):
+            yield k * dt, p
+            p = p + step
+        yield n * dt, p
+        if final:
+            # Partial step covering the remainder of the grid.
+            yield t_max, p + drift * (t_max - n * dt)
+
+
+def trajectory(cfg: SimulationConfig) -> tuple[float, Iterator[tuple[float, float]]]:
+    """The energy H and a lazy iterator over the (t, p) samples of cfg.
+
+    q stays q0 and H = m*g*q0 on every sample, so only t and p vary.  Every
+    sample is checked before this returns: ValueError is raised when H, any
+    p, or the sample count would not be finite, and then no sample exists.
+    The samples use memory independent of their number.
+    """
+    ctx = OrbitContext(cfg.m, cfg.g)
+    start = OrbitPoint(cfg.p0, cfg.q0)
+    n, final = _time_grid(cfg.t_max, cfg.dt)
+    # Rounding is monotone, so p runs monotonically from the first sample to
+    # the last: when both ends are finite, so is every p between them.  The
+    # Euler run starts at the finite p0, but its end is a running sum with no
+    # closed form, so it is summed once here.
+    if cfg.integrator == "exact":
+        for t in (0.0, cfg.t_max if final else n * cfg.dt):
+            evolve_exact(ctx, start, t)
+    else:
+        for _, p in _rows(cfg, ctx):
+            pass
+        OrbitPoint(p, cfg.q0)
+    energy = hamiltonian(ctx, start)
+    if not math.isfinite(energy):
+        raise ValueError("non-finite energy H = m*g*q0")
+    return energy, _rows(cfg, ctx)
 
 
 def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:
-    """Sample the trajectory on the configured grid, final point included."""
-    ctx = OrbitContext(cfg.m, cfg.g)
-    start = OrbitPoint(cfg.p0, cfg.q0)
-    grid, append_final = _time_grid(cfg.t_max, cfg.dt)
-
-    samples: list[TrajectorySample] = []
-    if cfg.integrator == "exact":
-        times = grid + ([cfg.t_max] if append_final else [])
-        for t in times:
-            pt = evolve_exact(ctx, start, t)
-            samples.append(TrajectorySample(t, pt.p, pt.q, hamiltonian(ctx, pt)))
-    else:
-        drift = physical_drift(ctx)
-        step = drift.dp * cfg.dt
-        p = cfg.p0
-        for k, t in enumerate(grid):
-            pt = OrbitPoint(p, cfg.q0)
-            samples.append(TrajectorySample(t, pt.p, pt.q, hamiltonian(ctx, pt)))
-            if k < len(grid) - 1:
-                p = p + step
-        if append_final:
-            # Partial step covering the remainder of the grid.
-            p = p + drift.dp * (cfg.t_max - grid[-1])
-            pt = OrbitPoint(p, cfg.q0)
-            samples.append(TrajectorySample(cfg.t_max, pt.p, pt.q, hamiltonian(ctx, pt)))
-    return samples
+    """Sample the trajectory on the configured grid, final point included,
+    as a list; raises ValueError as ``trajectory`` does."""
+    energy, rows = trajectory(cfg)
+    return [TrajectorySample(t, p, cfg.q0, energy) for t, p in rows]
 
 
 def energy_drift(samples: list[TrajectorySample]) -> float:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,53 @@ class TestSimulate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_energy_is_input_error(self, tmp_path, capsys, fmt):
+        # m*g = 1e300 is finite, but H = m*g*q0 overflows.
+        argv = ["simulate", "--mass", "1e200", "--g", "1e100", "--p0", "1", "--q0", "1e10",
+                "--dt", "1", "--t-max", "0", "--format", fmt]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        target = tmp_path / f"trajectory.{fmt}"
+        code, _, _ = run_main([*argv, "--out", str(target)], capsys)
+        assert code == 2
+        assert not target.exists()
+
+    def test_overflowing_sample_count_is_input_error(self, capsys):
+        argv = ["simulate", "--mass", "1", "--g", "1", "--p0", "1", "--q0", "1",
+                "--dt", "1e-300", "--t-max", "1e10"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_signed_zero(self, capsys):
+        argv = ["simulate", "--mass", "2", "--g", "-3", "--p0=-0.0", "--q0=-0.0",
+                "--dt", "0.5", "--t-max", "0"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert out == "t,p,q,H\n0,-0,-0,0\n"
+        code, out, _ = run_main([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert out == '[{"t": 0.0, "p": -0.0, "q": -0.0, "H": 0.0}]\n'
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_rows(self, tmp_path, fmt):
+        # 1e5 rows are 5-8 MB of output; building them in memory peaks near
+        # 40-50 MB, streaming near 1 MB whatever the row count.
+        target = tmp_path / f"trajectory.{fmt}"
+        argv = ["simulate", "--mass", "2", "--g", "3", "--p0", "1.1", "--q0", "5.3",
+                "--dt", "1e-4", "--t-max", "10", "--format", fmt, "--out", str(target)]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert target.stat().st_size > 4_000_000
+        assert peak < 4_000_000
+
     def test_non_finite_flag(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["simulate", "--mass", "nan", "--g", "3", "--p0", "1",
@@ -109,7 +157,7 @@ class TestOrbit:
     def test_zero_energy(self, capsys):
         code, out, _ = run_main(["orbit", "--m", "5", "--g", "2", "--e", "0", "--p", "31"], capsys)
         assert code == 0
-        assert out == "p=31 q=0\n"
+        assert out == "p=31 q=-0\n"
 
     def test_degenerate_orbit(self, capsys):
         code, _, err = run_main(["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"], capsys)
@@ -191,6 +239,20 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "4,25,5,30"
+
+    def test_simulate_reader_closes_pipe_early(self):
+        # 1e5 rows overflow the pipe buffer, so writing fails once the reader is gone.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "aristotle", "simulate", "--mass", "2", "--g", "3",
+             "--p0", "1", "--q0", "5", "--dt", "1e-4", "--t-max", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"t,p,q,H\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_verify_exit_status(self):
         proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Exact flow, generators, trajectory sampling, and energy bookkeeping."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -13,6 +14,7 @@ from aristotle.dynamics import (
     hamiltonian,
     physical_drift,
     simulate,
+    trajectory,
 )
 from aristotle.orbit import (
     AffineObservable,
@@ -158,6 +160,25 @@ class TestSimulate:
         cfg = SimulationConfig(m=5.0, g=9.81, p0=-2.0, q0=1.0, t_max=10.0, dt=0.25)
         for s in simulate(cfg):
             assert s.p - cfg.p0 == pytest.approx(cfg.m * cfg.g * s.t, abs=1e-12, rel=1e-12)
+
+
+class TestTrajectory:
+    def test_exact_rows_are_lazy(self):
+        # 1e12 samples: only the rows taken are ever computed.
+        cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1e3, dt=1e-9)
+        energy, rows = trajectory(cfg)
+        assert energy == 30.0
+        assert list(islice(rows, 3)) == [(0.0, 1.0), (1e-9, 1.0 + 6.0 * 1e-9),
+                                         (2e-9, 1.0 + 6.0 * 2e-9)]
+
+    @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
+    def test_non_finite_samples_rejected_up_front(self, integrator):
+        overflow_p = dict(m=10.0, g=9.81, p0=1.0, q0=5.0, t_max=1e308, dt=1e307)
+        overflow_h = dict(m=1e200, g=1e100, p0=1.0, q0=1e10, t_max=0.0, dt=1.0)
+        too_many = dict(m=1.0, g=1.0, p0=1.0, q0=1.0, t_max=1e10, dt=1e-300)
+        for base in (overflow_p, overflow_h, too_many):
+            with pytest.raises(ValueError):
+                trajectory(SimulationConfig(**base, integrator=integrator))
 
 
 class TestConfigValidation:
