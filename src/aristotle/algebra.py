@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 P_INDEX, E_INDEX, M_INDEX = 0, 1, 2
 
 
@@ -65,39 +63,50 @@ class AlgebraElement:
 class BracketTable:
     """Dense structure-constant table: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    The table is immutable after construction.  Antisymmetry is an invariant
-    of a well-formed table but is deliberately not enforced here, so that the
-    Jacobi grader can report a breach as its own error.
+    The table is an immutable nested tuple of floats, read as
+    ``constants[i][j][k]``.  Antisymmetry is an invariant of a well-formed
+    table but is deliberately not enforced here, so that the Jacobi grader
+    can report a breach as its own error.
     """
 
     def __init__(self, constants) -> None:
-        table = np.array(constants, dtype=float)
-        if table.ndim != 3 or len(set(table.shape)) != 1:
-            raise ValueError("structure constants must form an (n, n, n) array")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("non-finite structure constant")
-        table.setflags(write=False)
+        shape_error = "structure constants must form an (n, n, n) array of numbers"
+        try:
+            n = len(constants)
+            table = tuple([tuple([tuple(map(float, row)) for row in plane]) for plane in constants])
+        except (TypeError, ValueError):
+            raise ValueError(shape_error) from None
+        for plane in table:
+            if len(plane) != n:
+                raise ValueError(shape_error)
+            for row in plane:
+                if len(row) != n:
+                    raise ValueError(shape_error)
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite structure constant")
         self._constants = table
 
     @property
-    def constants(self) -> np.ndarray:
+    def constants(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         return self._constants
 
     @property
     def dimension(self) -> int:
-        return self._constants.shape[0]
+        return len(self._constants)
 
     def is_antisymmetric(self) -> bool:
         c = self._constants
-        return bool(np.all(c == -np.transpose(c, (1, 0, 2))))
+        return all(
+            x == -y for i, plane in enumerate(c) for j, row in enumerate(plane)
+            for x, y in zip(row, c[j][i])
+        )
 
 
 def aristotle_bracket_table(g: float) -> BracketTable:
     """The canonical 3-dimensional table: [P, E] = g*M, everything else zero."""
-    constants = np.zeros((3, 3, 3))
-    constants[P_INDEX, E_INDEX, M_INDEX] = g
-    constants[E_INDEX, P_INDEX, M_INDEX] = -g
-    return BracketTable(constants)
+    z = (0.0, 0.0, 0.0)
+    # c[P][E][M] = g and c[E][P][M] = -g, in the basis order (P, E, M).
+    return BracketTable(((z, (0.0, 0.0, g), z), ((0.0, 0.0, -g), z, z), (z, z, z)))
 
 
 def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -115,10 +124,10 @@ def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> Algebr
             if vb[j] == 0.0:
                 continue
             for k in range(3):
-                c_ijk = constants[i, j, k]
+                c_ijk = constants[i][j][k]
                 if c_ijk != 0.0:
                     out[k] += va[i] * vb[j] * c_ijk
-    return AlgebraElement(float(out[0]), float(out[1]), float(out[2]))
+    return AlgebraElement(out[0], out[1], out[2])
 
 
 def jacobi_violation(table: BracketTable) -> float:
@@ -131,18 +140,19 @@ def jacobi_violation(table: BracketTable) -> float:
     if not table.is_antisymmetric():
         raise AntisymmetryError("bracket table is not antisymmetric")
     c = table.constants
-    n = table.dimension
+    r = range(table.dimension)
+    # nested[i][j][k] = [[e_i, e_j], e_k]; component m is the dot product
+    # sum_l c[i][j][l] * c[l][k][m], summed in order of l.
+    nested = [
+        [[[sum(c[i][j][l] * c[l][k][m] for l in r) for m in r] for k in r] for j in r]
+        for i in r
+    ]
     worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # [[e_i, e_j], e_k] has components c[i, j, :] @ c[:, k, :].
-                cyclic = (
-                    c[i, j, :] @ c[:, k, :]
-                    + c[j, k, :] @ c[:, i, :]
-                    + c[k, i, :] @ c[:, j, :]
-                )
-                worst = max(worst, float(np.max(np.abs(cyclic))))
+    for i in r:
+        for j in r:
+            for k in r:
+                for x, y, z in zip(nested[i][j][k], nested[j][k][i], nested[k][i][j]):
+                    worst = max(worst, abs(x + y + z))
     return worst
 
 

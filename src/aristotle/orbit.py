@@ -71,6 +71,9 @@ class OrbitContext:
                 "degenerate orbit: m and g must both be nonzero "
                 "for the chart q = -e/(m*g)"
             )
+        # An overflowed m*g would make every chart q = -e/(m*g) read as zero.
+        if math.isinf(self.m * self.g):
+            raise ValueError("non-finite orbit parameter product m*g")
 
 
 @dataclass(frozen=True)

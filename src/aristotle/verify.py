@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import algebra, dynamics, group, orbit
@@ -403,26 +404,12 @@ def _check_static_position(rng: random.Random) -> float:
     return worst
 
 
-def _check_energy_conservation_exact(rng: random.Random) -> float:
-    return dynamics.energy_drift(dynamics.simulate(_simulation_config(rng, "exact")))
+def _check_energy_conservation(integrator: str, rng: random.Random) -> float:
+    return dynamics.energy_drift(dynamics.simulate(_simulation_config(rng, integrator)))
 
 
-def _check_energy_conservation_euler(rng: random.Random) -> float:
-    return dynamics.energy_drift(
-        dynamics.simulate(_simulation_config(rng, "symplectic_euler"))
-    )
-
-
-def _check_momentum_linear_exact(rng: random.Random) -> float:
-    cfg = _simulation_config(rng, "exact")
-    drift = cfg.m * cfg.g
-    return max(
-        _reldiff(s.p - cfg.p0, drift * s.t) for s in dynamics.simulate(cfg)
-    )
-
-
-def _check_momentum_linear_euler(rng: random.Random) -> float:
-    cfg = _simulation_config(rng, "symplectic_euler")
+def _check_momentum_linear(integrator: str, rng: random.Random) -> float:
+    cfg = _simulation_config(rng, integrator)
     drift = cfg.m * cfg.g
     return max(
         _reldiff(s.p - cfg.p0, drift * s.t) for s in dynamics.simulate(cfg)
@@ -534,10 +521,10 @@ PROPERTIES: tuple[Property, ...] = (
     Property("hamiltonian_field_convention", EXACT, False, _check_hamiltonian_field_convention),
     # dynamics
     Property("static_position", EXACT, False, _check_static_position),
-    Property("energy_conservation_exact", EXACT, False, _check_energy_conservation_exact),
-    Property("energy_conservation_euler", NUMERICAL_TOL, True, _check_energy_conservation_euler),
-    Property("momentum_linear_exact", FP_TOL, False, _check_momentum_linear_exact),
-    Property("momentum_linear_euler", NUMERICAL_TOL, True, _check_momentum_linear_euler),
+    Property("energy_conservation_exact", EXACT, False, partial(_check_energy_conservation, "exact")),
+    Property("energy_conservation_euler", NUMERICAL_TOL, True, partial(_check_energy_conservation, "symplectic_euler")),
+    Property("momentum_linear_exact", FP_TOL, False, partial(_check_momentum_linear, "exact")),
+    Property("momentum_linear_euler", NUMERICAL_TOL, True, partial(_check_momentum_linear, "symplectic_euler")),
     Property("flow_composition", FP_TOL, False, _check_flow_composition),
     Property("generator_finite_difference", FINITE_DIFF_TOL, False, _check_generator_finite_difference),
     Property("hamiltons_equations", EXACT, False, _check_hamiltons_equations),

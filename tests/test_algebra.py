@@ -87,14 +87,17 @@ class TestTable:
     def test_canonical_table_entries(self):
         table = aristotle_bracket_table(3.0)
         assert table.dimension == 3
-        assert table.constants[P_INDEX, E_INDEX, M_INDEX] == 3.0
-        assert table.constants[E_INDEX, P_INDEX, M_INDEX] == -3.0
-        assert np.count_nonzero(table.constants) == 2
+        assert table.constants[P_INDEX][E_INDEX][M_INDEX] == 3.0
+        assert table.constants[E_INDEX][P_INDEX][M_INDEX] == -3.0
+        flat = [x for plane in table.constants for row in plane for x in row]
+        assert len(flat) == 27
+        assert sum(1 for x in flat if x != 0.0) == 2
 
     def test_constants_are_read_only(self):
         table = aristotle_bracket_table(1.0)
-        with pytest.raises(ValueError):
-            table.constants[0, 0, 0] = 5.0
+        with pytest.raises(TypeError):
+            table.constants[0][0][0] = 5.0
+        assert table.constants[0][0][0] == 0.0
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ValueError):
@@ -103,6 +106,29 @@ class TestTable:
     def test_rejects_non_finite(self):
         constants = np.zeros((3, 3, 3))
         constants[0, 1, 2] = np.inf
+        with pytest.raises(ValueError):
+            BracketTable(constants)
+
+    def test_nested_list_and_array_agree(self):
+        constants = np.zeros((3, 3, 3))
+        constants[P_INDEX, E_INDEX, M_INDEX] = 2.5
+        constants[E_INDEX, P_INDEX, M_INDEX] = -2.5
+        from_list = BracketTable(constants.tolist())
+        from_array = BracketTable(constants)
+        assert from_list.constants == from_array.constants
+        assert from_list.constants == aristotle_bracket_table(2.5).constants
+        assert all(type(x) is float for plane in from_array.constants for row in plane for x in row)
+
+    def test_rejects_ragged(self):
+        constants = np.zeros((3, 3, 3)).tolist()
+        constants[1][2] = [0.0, 0.0]
+        with pytest.raises(ValueError):
+            BracketTable(constants)
+
+    @pytest.mark.parametrize("entry", ["P", None])
+    def test_rejects_non_numeric_entry(self, entry):
+        constants = np.zeros((3, 3, 3)).tolist()
+        constants[0][1][2] = entry
         with pytest.raises(ValueError):
             BracketTable(constants)
 
@@ -118,6 +144,24 @@ class TestJacobi:
     def test_corrupted_table_scores_g(self):
         # Cyclic sum on (P, E, M) is -g*M, so the worst defect is |g| = 2.
         assert abs(jacobi_violation(corrupted_table(2.0)) - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_matrix_reference(self, n):
+        # Reference: [[e_i, e_j], e_k] as the matrix product c[i, j, :] @ c[:, k, :].
+        rng = random.Random(n)
+        for _ in range(50):
+            c = np.zeros((n, n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    c[i, j] = [rng.uniform(-10, 10) for _ in range(n)]
+                    c[j, i] = -c[i, j]
+            expected = max(
+                float(np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j])))
+                for i in range(n) for j in range(n) for k in range(n)
+            )
+            # Summation may round differently (numpy can fuse multiply-adds);
+            # with entries below 10 in magnitude the terms sum below 1e4.
+            assert abs(jacobi_violation(BracketTable(c)) - expected) <= 1e-11
 
     def test_antisymmetry_breach_is_distinct_error(self):
         constants = np.zeros((3, 3, 3))

@@ -170,6 +170,19 @@ class TestOrbit:
         assert "degenerate orbit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "1e200", "--g", "1e200", "--e", "5", "--p", "1"],
+    ["act", "--mass", "1e200", "--g", "1e200", "--t", "0", "--h", "1", "--p", "1", "--q", "2"],
+    ["simulate", "--mass", "1e200", "--g", "1e200", "--p0", "1", "--q0", "0",
+     "--dt", "1", "--t-max", "0"],
+])
+def test_overflowing_orbit_product_is_input_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "m*g" in err
+
+
 class TestAct:
     def test_worked_point(self, capsys):
         argv = ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"]
@@ -260,6 +273,25 @@ class TestSubprocess:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+    def test_import_does_not_load_numpy(self):
+        code = "import sys, aristotle.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_runs_without_numpy(self):
+        # A None entry in sys.modules makes `import numpy` raise ImportError.
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from aristotle.cli import main\n"
+            "assert main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31']) == 0\n"
+            "assert main(['verify', '--cases', '5']) == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("p=31 q=3\n")
+        assert proc.stdout.endswith("0 failed (seed=42, cases=5)\n")
 
     def test_usage_error_exit_status(self):
         proc = subprocess.run(

@@ -167,6 +167,11 @@ class TestChart:
         with pytest.raises(DegenerateOrbitError):
             OrbitContext(1e-300, 1e-300)
 
+    def test_overflowed_product_is_rejected(self):
+        # m and g finite but m*g overflows: q = -e/(m*g) would read as -0.
+        with pytest.raises(ValueError, match=r"m\*g"):
+            OrbitContext(1e200, 1e200)
+
     def test_mass_mismatch(self):
         ctx = OrbitContext(5.0, 2.0)
         with pytest.raises(OrbitMismatchError):
