@@ -5,135 +5,7 @@ and dimensional bookkeeping (``algebra``), the base and extended group laws
 with their cocycles and charts (``group``), the coadjoint action, orbit chart
 and Poisson structure (``orbit``), the exact flow and trajectory sampler
 (``dynamics``), and a seeded verification suite over all of it (``verify``).
+The package root re-exports nothing: import each name from its module.
 """
 
-from .algebra import (
-    ACTION_DIMENSION,
-    AlgebraElement,
-    AntisymmetryError,
-    BracketTable,
-    Dimension,
-    E_INDEX,
-    M_INDEX,
-    P_INDEX,
-    aristotle_bracket_table,
-    bracket,
-    dimension_of,
-    jacobi_violation,
-    pairing_dimension_check,
-)
-from .group import (
-    BASE_IDENTITY,
-    EXTENDED_IDENTITY,
-    BaseElement,
-    ExtendedElement,
-    canonical_shift,
-    cocycle,
-    cocycle_symmetric,
-    conjugate_extended,
-    from_canonical_coords,
-    inverse_base,
-    inverse_extended,
-    multiply_base,
-    multiply_canonical,
-    multiply_extended,
-    spacetime_act,
-    to_canonical_coords,
-)
-from .orbit import (
-    AffineObservable,
-    CoadjointPoint,
-    DegenerateOrbitError,
-    OrbitContext,
-    OrbitMismatchError,
-    OrbitPoint,
-    OrbitTangent,
-    adjoint_act,
-    adjoint_act_via_conjugation,
-    canonical_act,
-    coadjoint_act,
-    comomentum,
-    from_chart,
-    hamiltonian_vector_field,
-    pairing,
-    poisson_bracket,
-    to_chart,
-)
-from .dynamics import (
-    INTEGRATORS,
-    SimulationConfig,
-    TrajectorySample,
-    energy_drift,
-    evolve_exact,
-    generator_left,
-    hamiltonian,
-    physical_drift,
-    simulate,
-    trajectory,
-)
-from .verify import GRAVITY_CHOICES, PropertyResult, VerifyReport, run_verify
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTION_DIMENSION",
-    "AffineObservable",
-    "AlgebraElement",
-    "AntisymmetryError",
-    "BASE_IDENTITY",
-    "BaseElement",
-    "BracketTable",
-    "CoadjointPoint",
-    "DegenerateOrbitError",
-    "Dimension",
-    "E_INDEX",
-    "EXTENDED_IDENTITY",
-    "ExtendedElement",
-    "GRAVITY_CHOICES",
-    "INTEGRATORS",
-    "M_INDEX",
-    "OrbitContext",
-    "OrbitMismatchError",
-    "OrbitPoint",
-    "OrbitTangent",
-    "P_INDEX",
-    "PropertyResult",
-    "SimulationConfig",
-    "TrajectorySample",
-    "VerifyReport",
-    "adjoint_act",
-    "adjoint_act_via_conjugation",
-    "aristotle_bracket_table",
-    "bracket",
-    "canonical_act",
-    "canonical_shift",
-    "coadjoint_act",
-    "cocycle",
-    "cocycle_symmetric",
-    "comomentum",
-    "conjugate_extended",
-    "dimension_of",
-    "energy_drift",
-    "evolve_exact",
-    "from_canonical_coords",
-    "from_chart",
-    "generator_left",
-    "hamiltonian",
-    "hamiltonian_vector_field",
-    "inverse_base",
-    "inverse_extended",
-    "jacobi_violation",
-    "multiply_base",
-    "multiply_canonical",
-    "multiply_extended",
-    "pairing",
-    "pairing_dimension_check",
-    "physical_drift",
-    "poisson_bracket",
-    "run_verify",
-    "simulate",
-    "spacetime_act",
-    "to_canonical_coords",
-    "to_chart",
-    "trajectory",
-]

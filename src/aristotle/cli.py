@@ -36,6 +36,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _numbers(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Declare each of ``names`` as a required finite-number flag, in order."""
+    for name in names:
+        parser.add_argument(name, type=_finite, required=True)
+
+
 def _fmt(x: float) -> str:
     """Shortest round-trip form; integral values print without a fraction.
 
@@ -162,31 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="sample a trajectory to CSV or JSON")
-    p_sim.add_argument("--mass", type=_finite, required=True)
-    p_sim.add_argument("--g", type=_finite, required=True)
-    p_sim.add_argument("--p0", type=_finite, required=True)
-    p_sim.add_argument("--q0", type=_finite, required=True)
-    p_sim.add_argument("--t-max", type=_finite, required=True)
-    p_sim.add_argument("--dt", type=_finite, required=True)
+    _numbers(p_sim, "--mass", "--g", "--p0", "--q0", "--t-max", "--dt")
     p_sim.add_argument("--integrator", choices=dynamics.INTEGRATORS, default="exact")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", default=None, help="output path (default: stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_orbit = sub.add_parser("orbit", help="map a dual point to chart coordinates")
-    p_orbit.add_argument("--m", type=_finite, required=True)
-    p_orbit.add_argument("--g", type=_finite, required=True)
-    p_orbit.add_argument("--e", type=_finite, required=True)
-    p_orbit.add_argument("--p", type=_finite, required=True)
+    _numbers(p_orbit, "--m", "--g", "--e", "--p")
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_act = sub.add_parser("act", help="apply a translation to a chart point")
-    p_act.add_argument("--mass", type=_finite, required=True)
-    p_act.add_argument("--g", type=_finite, required=True)
-    p_act.add_argument("--t", type=_finite, required=True)
-    p_act.add_argument("--h", type=_finite, required=True)
-    p_act.add_argument("--p", type=_finite, required=True)
-    p_act.add_argument("--q", type=_finite, required=True)
+    _numbers(p_act, "--mass", "--g", "--t", "--h", "--p", "--q")
     p_act.set_defaults(func=cmd_act)
 
     return parser

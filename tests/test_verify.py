@@ -85,3 +85,49 @@ class TestCocycleMutation:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL coadjoint_equivariance" in out
+
+
+class TestEnergyMutation:
+    """A kinetic term in H must fail both energy properties.
+
+    The sampler copies one H into every sample, so only evaluating the
+    Hamiltonian at each sampled point can see that H depends on p.
+    """
+
+    @pytest.fixture
+    def mutated(self, monkeypatch):
+        from aristotle import dynamics
+
+        def with_kinetic_term(ctx, pt):
+            return ctx.m * ctx.g * pt.q + pt.p ** 2 / (2.0 * ctx.m)
+
+        monkeypatch.setattr(dynamics, "hamiltonian", with_kinetic_term)
+
+    def test_mutation_is_killed(self, mutated):
+        by_name = result_map(verify.run_verify(seed=42, cases=50))
+        assert not by_name["energy_conservation_exact"].passed
+        assert not by_name["energy_conservation_euler"].passed
+        assert not by_name["hamiltonian_p_independence"].passed
+
+
+class TestMovingPositionMutation:
+    """A flow that moves q must fail static_position.
+
+    Every sample carries q0, so only comparing the samples with the
+    closed-form flow can see that the flow no longer freezes q.
+    """
+
+    @pytest.fixture
+    def mutated(self, monkeypatch):
+        from aristotle import dynamics
+        from aristotle.orbit import OrbitPoint
+
+        def drifting_flow(ctx, pt, t):
+            return OrbitPoint(pt.p + ctx.m * ctx.g * t, pt.q + 1e-3 * t)
+
+        monkeypatch.setattr(dynamics, "evolve_exact", drifting_flow)
+
+    def test_mutation_is_killed(self, mutated):
+        by_name = result_map(verify.run_verify(seed=42, cases=50))
+        assert not by_name["static_position"].passed
+        assert not by_name["generator_finite_difference"].passed
