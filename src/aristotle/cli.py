@@ -12,6 +12,8 @@ tools can re-check identities bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import sys
@@ -73,31 +75,91 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _write_trajectory(fh: TextIO, rows: Iterator[tuple[float, float]], fmt: str,
-                      q: float, energy: float) -> None:
-    """Write the (t, p) rows with the constant q and H, a chunk at a time.
-
-    The bytes are those of joining every formatted record (CSV) or of one
-    json.dumps over all records (JSON); memory does not grow with the rows.
-    """
+def _chunks(cfg: dynamics.SimulationConfig, fmt: str, energy: float,
+            worker: int = 0, workers: int = 1) -> Iterator[str]:
+    """Chunks worker, worker + workers, ... of _CHUNK_ROWS formatted records:
+    joined in order, the bytes of joining every CSV record or of one json.dumps
+    over all records less its "]".  Only t and p are formatted per row."""
+    rows = dynamics.sample_rows(cfg, _CHUNK_ROWS, worker, workers)
     if fmt == "csv":
-        fh.write("t,p,q,H\n")
-        tail = f",{_fmt(q)},{_fmt(energy)}\n"
+        tail = f",{_fmt(cfg.q0)},{_fmt(energy)}\n"
         while chunk := "".join([f"{t!r},{p!r}{tail}" for t, p in islice(rows, _CHUNK_ROWS)]):
             # _fmt over the chunk at once: t and p are the only fields that
             # can end in ".0", and each is followed by a comma.
-            fh.write(chunk.replace(".0,", ","))
+            yield chunk.replace(".0,", ",")
     else:
         # json.dumps writes a finite float as its repr.
-        tail = f', "q": {q!r}, "H": {energy!r}}}'
-        sep = "["
-        while chunk := ", ".join(
-            [f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in islice(rows, _CHUNK_ROWS)]
-        ):
-            fh.write(sep)
-            fh.write(chunk)
+        tail = f', "q": {cfg.q0!r}, "H": {energy!r}}}'
+        sep = "[" if worker == 0 else ", "
+        while chunk := ", ".join([f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in islice(rows, _CHUNK_ROWS)]):
+            yield sep + chunk
             sep = ", "
-        fh.write("]\n")
+
+
+def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, energy: float,
+                  workers: int) -> None:
+    """Write the chunks of all workers to fd in order, each worker forked.
+
+    A ring of pipes passes one turn token, so the workers write in turn through
+    the shared file offset.  A worker that fails exits with its errno, raised
+    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the rest."""
+    ring = [os.pipe() for _ in range(workers)]
+    os.write(ring[0][1], b".")
+    pids = []
+    try:
+        for worker in range(workers):
+            if pid := os.fork():
+                pids.append(pid)
+                continue
+            turn, next_turn = ring[worker][0], ring[(worker + 1) % workers][1]
+            code = 255  # not an errno: an exception other than OSError
+            try:
+                for end in {*sum(ring, ())} - {turn, next_turn}:
+                    os.close(end)  # so each pipe has one writer, whose exit closes it
+                for chunk in _chunks(cfg, fmt, energy, worker, workers):
+                    data = memoryview(chunk.encode())
+                    if not os.read(turn, 1):
+                        break  # an earlier worker failed
+                    while data:
+                        data = data[os.write(fd, data):]
+                    with contextlib.suppress(BrokenPipeError):  # the next worker is done or failed
+                        os.write(next_turn, b".")
+                code = 0
+            except OSError as err:
+                code = err.errno
+            except BaseException:
+                sys.excepthook(*sys.exc_info())
+            finally:
+                os._exit(code)  # never the caller's return path, atexit or stdio flush
+    finally:  # also when a fork fails: the workers started see the ring close
+        for end in sum(ring, ()):
+            os.close(end)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if code := next(filter(None, codes), 0):
+        raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")
+
+
+def _write_trajectory(fh: TextIO, cfg: dynamics.SimulationConfig, fmt: str,
+                      energy: float) -> None:
+    """Write the samples of cfg, checked by ``dynamics.trajectory``, to fh.
+
+    Forked workers format the rows on every CPU the process may use, unless
+    there is one CPU, one chunk, no descriptor or no fork; the bytes are the
+    same either way, and memory does not grow with the rows."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
+    fh.write("t,p,q,H\n" if fmt == "csv" else "")
+    try:
+        fd = fh.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        workers = 1
+    if workers > 1 and hasattr(os, "fork"):
+        fh.flush()
+        _write_forked(fd, cfg, fmt, energy, workers)
+    else:
+        for chunk in _chunks(cfg, fmt, energy):
+            fh.write(chunk)
+    fh.write("]\n" if fmt == "json" else "")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -106,24 +168,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
             t_max=args.t_max, dt=args.dt, integrator=args.integrator,
         )
-        energy, rows = dynamics.trajectory(cfg)
+        energy, _ = dynamics.trajectory(cfg)
     except ValueError as err:
         # Covers config validation and any sample that would not be finite;
         # nothing has been written yet.
         return _fail(str(err))
 
     if args.out is None:
-        try:
-            _write_trajectory(sys.stdout, rows, args.format, cfg.q0, energy)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader stopped early, as `| head` does.  Point stdout at
-            # devnull so the final flush at exit cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write_trajectory(sys.stdout, cfg, args.format, energy)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_trajectory(fh, rows, args.format, cfg.q0, energy)
+            _write_trajectory(fh, cfg, args.format, energy)
     except OSError as err:
         return _fail(f"cannot write {args.out!r}: {err}")
     return 0
@@ -187,7 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as err:  # writing stdout; the handlers catch their other errors
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # A reader that stopped early, as `| head` does, ends the run quietly.
+        return 0 if isinstance(err, BrokenPipeError) else _fail(f"cannot write stdout: {err}")
+    return code
 
 
 if __name__ == "__main__":

@@ -107,28 +107,41 @@ def _time_grid(t_max: float, dt: float) -> tuple[int, bool]:
     return n, n * dt < t_max
 
 
-def _rows(cfg: SimulationConfig, ctx: OrbitContext) -> Iterator[tuple[float, float]]:
-    """(t, p) of every sample on the grid of cfg, final point included."""
+def sample_count(cfg: SimulationConfig) -> int:
+    """Number of samples on the grid of cfg, final point included."""
     n, final = _time_grid(cfg.t_max, cfg.dt)
-    p0, dt, t_max = cfg.p0, cfg.dt, cfg.t_max
-    if cfg.integrator == "exact":
-        mg = ctx.m * ctx.g
-        for k in range(n + 1):
-            t = k * dt
-            yield t, p0 + mg * t  # evolve_exact, without a point per row
-        if final:
-            yield t_max, p0 + mg * t_max
-    else:
-        drift = physical_drift(ctx).dp
-        step = drift * dt
-        p = p0
-        for k in range(n):
-            yield k * dt, p
-            p = p + step
-        yield n * dt, p
-        if final:
-            # Partial step covering the remainder of the grid.
-            yield t_max, p + drift * (t_max - n * dt)
+    return n + 1 + final
+
+
+def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
+                every: int = 1) -> Iterator[tuple[float, float]]:
+    """(t, p) of the samples of cfg, final point included, unchecked (see
+    ``trajectory``); given a ``block`` size, only blocks first, first + every,
+    ... of that many samples.  The Euler sum steps over the samples skipped,
+    so each p is the same float as in the whole run."""
+    n, final = _time_grid(cfg.t_max, cfg.dt)
+    drift = physical_drift(OrbitContext(cfg.m, cfg.g)).dp
+    p0, dt, t_max, block = cfg.p0, cfg.dt, cfg.t_max, block or n + 2
+    p, at, step = p0, 0, drift * dt  # Euler: p is the running sum at grid point `at`
+    for start in range(first * block, n + 1 + final, every * block):
+        stop = min(start + block, n + 1)  # the grid points of this block end here
+        if cfg.integrator == "exact":
+            for k in range(start, stop):
+                t = k * dt
+                yield t, p0 + drift * t  # evolve_exact, without a point per row
+            end = p0 + drift * t_max
+        else:
+            for _ in range(at, min(start, n)):
+                p = p + step
+            for k in range(start, min(stop, n)):
+                yield k * dt, p
+                p = p + step
+            at = min(stop, n)
+            if start <= n < stop:
+                yield n * dt, p
+            end = p + drift * (t_max - n * dt)  # a partial step for the rest of the grid
+        if final and start + block > n + 1:
+            yield t_max, end
 
 
 def trajectory(cfg: SimulationConfig) -> tuple[float, Iterator[tuple[float, float]]]:
@@ -141,22 +154,15 @@ def trajectory(cfg: SimulationConfig) -> tuple[float, Iterator[tuple[float, floa
     """
     ctx = OrbitContext(cfg.m, cfg.g)
     start = OrbitPoint(cfg.p0, cfg.q0)
-    n, final = _time_grid(cfg.t_max, cfg.dt)
-    # Rounding is monotone, so p runs monotonically from the first sample to
-    # the last: when both ends are finite, so is every p between them.  The
-    # Euler run starts at the finite p0, but its end is a running sum with no
-    # closed form, so it is summed once here.
-    if cfg.integrator == "exact":
-        for t in (0.0, cfg.t_max if final else n * cfg.dt):
-            evolve_exact(ctx, start, t)
-    else:
-        for _, p in _rows(cfg, ctx):
-            pass
+    # Rounding is monotone, so p runs monotonically from the first sample, p0,
+    # to the last: when both are finite, so is every p between them.  The last
+    # Euler p is a running sum with no closed form, so the whole run is summed.
+    for _, p in sample_rows(cfg, 1, sample_count(cfg) - 1):
         OrbitPoint(p, cfg.q0)
     energy = hamiltonian(ctx, start)
     if not math.isfinite(energy):
         raise ValueError("non-finite energy H = m*g*q0")
-    return energy, _rows(cfg, ctx)
+    return energy, sample_rows(cfg)
 
 
 def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:
@@ -164,11 +170,3 @@ def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:
     as a list; raises ValueError as ``trajectory`` does."""
     energy, rows = trajectory(cfg)
     return [TrajectorySample(t, p, cfg.q0, energy) for t, p in rows]
-
-
-def energy_drift(samples: list[TrajectorySample]) -> float:
-    """Largest deviation of H from its initial value along a trajectory."""
-    if not samples:
-        raise ValueError("energy_drift needs a non-empty trajectory")
-    h0 = samples[0].H
-    return max(abs(s.H - h0) for s in samples)

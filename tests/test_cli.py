@@ -1,6 +1,8 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +12,10 @@ import pytest
 from aristotle import cli
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
+# 1e5 rows: 25 chunks, and more than a pipe buffer holds.
+LONG_SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "1e-4", "--t-max", "10"]
+ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 def run_main(argv, capsys):
@@ -111,21 +117,56 @@ class TestSimulate:
         assert out == '[{"t": 0.0, "p": -0.0, "q": -0.0, "H": 0.0}]\n'
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_does_not_grow_with_rows(self, tmp_path, fmt):
+    def test_memory_does_not_grow_with_rows(self, tmp_path, use_cpus, fmt):
         # 1e5 rows are 5-8 MB of output; building them in memory peaks near
-        # 40-50 MB, streaming near 1 MB whatever the row count.
+        # 40-50 MB, streaming near 1 MB whatever the row count.  Forked
+        # workers are out of tracemalloc's sight, so one CPU bounds the loop
+        # that formats the rows, and two bound the parent that waits for them.
         target = tmp_path / f"trajectory.{fmt}"
         argv = ["simulate", "--mass", "2", "--g", "3", "--p0", "1.1", "--q0", "5.3",
                 "--dt", "1e-4", "--t-max", "10", "--format", fmt, "--out", str(target)]
-        tracemalloc.start()
-        try:
-            code = cli.main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert target.stat().st_size > 4_000_000
-        assert peak < 4_000_000
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert target.stat().st_size > 4_000_000
+            assert peak < 4_000_000
+
+    def test_worker_write_error_is_reported_once(self, tmp_path, capsys, monkeypatch, use_cpus):
+        # Forked workers inherit this os.write, which fails each worker's
+        # second chunk; the turn tokens are single bytes and pass.
+        real_write = os.write
+        chunks = []
+
+        def write(fd, data):
+            if len(data) > 1:
+                if chunks:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                chunks.append(fd)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        use_cpus(2)
+        target = tmp_path / "trajectory.csv"
+        code, out, err = run_main(["simulate", *LONG_SIM_FLAGS, "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(target)!r}: {ENOSPC}\n"
+        assert 0 < target.stat().st_size < 1_000_000
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_dev_full
+    def test_full_device_error_is_the_same_on_every_path(self, capsys, use_cpus):
+        argv = ["simulate", *LONG_SIM_FLAGS, "--out", "/dev/full"]
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            code, out, err = run_main(argv, capsys)
+            assert (code, out, err) == (2, "", f"error: cannot write '/dev/full': {ENOSPC}\n")
 
     def test_non_finite_flag(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -253,19 +294,20 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "4,25,5,30"
 
-    def test_simulate_reader_closes_pipe_early(self):
-        # 1e5 rows overflow the pipe buffer, so writing fails once the reader is gone.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "aristotle", "simulate", "--mass", "2", "--g", "3",
-             "--p0", "1", "--q0", "5", "--dt", "1e-4", "--t-max", "10"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.readline() == b"t,p,q,H\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 0
-        assert err == b""
+    def test_simulate_reader_closes_pipe_early(self, cli_command):
+        # 1e5 rows overflow the pipe buffer, so writing fails once the reader
+        # is gone: in process with one CPU, in a forked worker with two.
+        for cpus in (1, 2):
+            proc = subprocess.Popen(
+                cli_command(["simulate", *LONG_SIM_FLAGS], cpus),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            assert proc.stdout.readline() == b"t,p,q,H\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 0
+            assert err == b""
 
     def test_verify_exit_status(self):
         proc = subprocess.run(
@@ -276,6 +318,12 @@ class TestSubprocess:
 
     def test_import_does_not_load_numpy(self):
         code = "import sys, aristotle.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_import_does_not_load_process_pools(self):
+        code = ("import sys, aristotle.cli\n"
+                "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
 
@@ -300,3 +348,23 @@ class TestSubprocess:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, cpus", [
+    (["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"], 1),
+    (["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"], 1),
+    (["verify", "--cases", "2"], 1),
+    (["simulate", *SIM_FLAGS], 2),
+    (["simulate", *LONG_SIM_FLAGS], 1),
+    (["simulate", *LONG_SIM_FLAGS], 2),
+], ids=["orbit", "act", "verify", "simulate-one-chunk", "simulate-in-process",
+        "simulate-forked"])
+def test_stdout_write_error_is_input_error(cli_command, argv, cpus):
+    # Buffered, the error surfaces when stdout is flushed; unbuffered, at once.
+    for unbuffered in ("", "1"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cli_command(argv, cpus), stdout=full, stderr=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+                                  text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {ENOSPC}\n")

@@ -8,11 +8,12 @@ import pytest
 from aristotle.dynamics import (
     SimulationConfig,
     TrajectorySample,
-    energy_drift,
     evolve_exact,
     generator_left,
     hamiltonian,
     physical_drift,
+    sample_count,
+    sample_rows,
     simulate,
     trajectory,
 )
@@ -154,7 +155,10 @@ class TestSimulate:
                 )
                 samples = simulate(cfg)
                 assert all(s.q == cfg.q0 for s in samples)
-                assert energy_drift(samples) == 0.0
+                # H evaluated at each sampled (p, q), not the H field the sampler copies.
+                ctx = OrbitContext(cfg.m, cfg.g)
+                energies = [hamiltonian(ctx, OrbitPoint(s.p, s.q)) for s in samples]
+                assert all(h == energies[0] for h in energies)
 
     def test_momentum_linear_in_time(self):
         cfg = SimulationConfig(m=5.0, g=9.81, p0=-2.0, q0=1.0, t_max=10.0, dt=0.25)
@@ -170,6 +174,29 @@ class TestTrajectory:
         assert energy == 30.0
         assert list(islice(rows, 3)) == [(0.0, 1.0), (1e-9, 1.0 + 6.0 * 1e-9),
                                          (2e-9, 1.0 + 6.0 * 2e-9)]
+
+    @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
+    def test_blocks_share_out_the_whole_run(self, integrator):
+        # Whole and fractional horizons of 0-11 steps, cut into blocks of 1-4
+        # samples dealt to 1-4 callers: a block may hold only the final sample,
+        # and a caller may get none.  Interleaved, the blocks are the whole run
+        # bit for bit, Euler's running sum included.
+        for steps in range(12):
+            for extra in (0.0, 0.4):
+                t_max = (steps + extra) * 0.3 if steps else 0.0
+                cfg = SimulationConfig(m=1.7, g=-9.81, p0=-3.25, q0=0.5, t_max=t_max,
+                                       dt=0.3, integrator=integrator)
+                whole = list(sample_rows(cfg))
+                assert len(whole) == sample_count(cfg)
+                for block in range(1, 5):
+                    for every in range(1, 5):
+                        dealt = [list(sample_rows(cfg, block, first, every))
+                                 for first in range(every)]
+                        joined = [row for i in range(0, len(whole), block)
+                                  for row in dealt[i // block % every][
+                                      i // block // every * block:][:block]]
+                        assert joined == whole
+                        assert sum(map(len, dealt)) == len(whole)
 
     @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
     def test_non_finite_samples_rejected_up_front(self, integrator):
@@ -206,19 +233,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5, integrator="rk4")
 
-
-class TestEnergyDrift:
-    def test_single_sample(self):
-        assert energy_drift([TrajectorySample(0.0, 1.0, 5.0, 30.0)]) == 0.0
-
-    def test_corrupted_sample_is_measured(self):
-        samples = [
-            TrajectorySample(0.0, 1.0, 5.0, 30.0),
-            TrajectorySample(0.5, 2.0, 5.0, 31.0),
-            TrajectorySample(1.0, 3.0, 5.0, 30.0),
-        ]
-        assert energy_drift(samples) == 1.0
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            energy_drift([])

@@ -10,6 +10,8 @@ that overflows.
 """
 
 import hashlib
+import os
+import subprocess
 
 import pytest
 
@@ -114,12 +116,30 @@ def test_stdout_matches_corpus(capsys, name, integrator, fmt, code, err, digest)
     assert _digest(captured.out) == digest
 
 
-@pytest.mark.parametrize("name, integrator, fmt, code, err, digest",
-                         [c for c in CORPUS if c[0] == "multi_chunk"])
-def test_out_file_matches_corpus(tmp_path, capsys, name, integrator, fmt, code, err, digest):
+MULTI_CHUNK = [c for c in CORPUS if c[0] == "multi_chunk"]
+
+
+@pytest.mark.parametrize("name, integrator, fmt, code, err, digest", MULTI_CHUNK)
+def test_out_file_matches_corpus(tmp_path, capsys, use_cpus, name, integrator, fmt, code, err,
+                                 digest):
+    # 20002 rows are 5 chunks.  One CPU formats in process and two fork; three
+    # wrap the turn ring over a chunk count they do not divide, and eight
+    # exceed it.
     target = tmp_path / f"trajectory.{fmt}"
     argv = ["simulate", *FLAGS[name], "--integrator", integrator, "--format", fmt,
             "--out", str(target)]
-    assert cli.main(argv) == code
-    assert capsys.readouterr().out == ""
-    assert _digest(target.read_text(encoding="utf-8")) == digest
+    for cpus in (1, 2, 3, 8):
+        use_cpus(cpus)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == ""
+        assert _digest(target.read_text(encoding="utf-8")) == digest
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every forked worker has been waited for
+
+
+@pytest.mark.parametrize("name, integrator, fmt, code, err, digest", MULTI_CHUNK)
+def test_process_stdout_matches_corpus(cli_command, name, integrator, fmt, code, err, digest):
+    argv = ["simulate", *FLAGS[name], "--integrator", integrator, "--format", fmt]
+    proc = subprocess.run(cli_command(argv, 3), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (code, err)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
