@@ -75,12 +75,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _chunks(cfg: dynamics.SimulationConfig, fmt: str, energy: float,
-            worker: int = 0, workers: int = 1) -> Iterator[str]:
+def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
+            workers: int = 1) -> Iterator[str]:
     """Chunks worker, worker + workers, ... of _CHUNK_ROWS formatted records:
     joined in order, the bytes of joining every CSV record or of one json.dumps
     over all records less its "]".  Only t and p are formatted per row."""
-    rows = dynamics.sample_rows(cfg, _CHUNK_ROWS, worker, workers)
+    rows, energy = dynamics.sample_rows(cfg, _CHUNK_ROWS, worker, workers), cfg.energy
     if fmt == "csv":
         tail = f",{_fmt(cfg.q0)},{_fmt(energy)}\n"
         while chunk := "".join([f"{t!r},{p!r}{tail}" for t, p in islice(rows, _CHUNK_ROWS)]):
@@ -96,8 +96,7 @@ def _chunks(cfg: dynamics.SimulationConfig, fmt: str, energy: float,
             sep = ", "
 
 
-def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, energy: float,
-                  workers: int) -> None:
+def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: int) -> None:
     """Write the chunks of all workers to fd in order, each worker forked.
 
     A ring of pipes passes one turn token, so the workers write in turn through
@@ -116,7 +115,7 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, energy: flo
             try:
                 for end in {*sum(ring, ())} - {turn, next_turn}:
                     os.close(end)  # so each pipe has one writer, whose exit closes it
-                for chunk in _chunks(cfg, fmt, energy, worker, workers):
+                for chunk in _chunks(cfg, fmt, worker, workers):
                     data = memoryview(chunk.encode())
                     if not os.read(turn, 1):
                         break  # an earlier worker failed
@@ -139,9 +138,8 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, energy: flo
         raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")
 
 
-def _write_trajectory(fh: TextIO, cfg: dynamics.SimulationConfig, fmt: str,
-                      energy: float) -> None:
-    """Write the samples of cfg, checked by ``dynamics.trajectory``, to fh.
+def _write_trajectory(fh: TextIO, cfg: dynamics.SimulationConfig, fmt: str) -> None:
+    """Write the samples of cfg, all finite, to fh.
 
     Forked workers format the rows on every CPU the process may use, unless
     there is one CPU, one chunk, no descriptor or no fork; the bytes are the
@@ -155,9 +153,9 @@ def _write_trajectory(fh: TextIO, cfg: dynamics.SimulationConfig, fmt: str,
         workers = 1
     if workers > 1 and hasattr(os, "fork"):
         fh.flush()
-        _write_forked(fd, cfg, fmt, energy, workers)
+        _write_forked(fd, cfg, fmt, workers)
     else:
-        for chunk in _chunks(cfg, fmt, energy):
+        for chunk in _chunks(cfg, fmt):
             fh.write(chunk)
     fh.write("]\n" if fmt == "json" else "")
 
@@ -168,18 +166,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
             t_max=args.t_max, dt=args.dt, integrator=args.integrator,
         )
-        energy, _ = dynamics.trajectory(cfg)
     except ValueError as err:
-        # Covers config validation and any sample that would not be finite;
-        # nothing has been written yet.
+        # The config checks its whole run, before anything is written.
         return _fail(str(err))
 
     if args.out is None:
-        _write_trajectory(sys.stdout, cfg, args.format, energy)
+        _write_trajectory(sys.stdout, cfg, args.format)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_trajectory(fh, cfg, args.format, energy)
+            _write_trajectory(fh, cfg, args.format)
     except OSError as err:
         return _fail(f"cannot write {args.out!r}: {err}")
     return 0

@@ -26,7 +26,11 @@ INTEGRATORS = ("exact", "symplectic_euler")
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Trajectory request: orbit parameters, initial point, grid, integrator."""
+    """Trajectory request: orbit parameters, initial point, grid, integrator.
+
+    Building one checks its whole run: ValueError is raised when m*g, the
+    sample count, any p or H would not be finite, so every sample is finite.
+    """
 
     m: float
     g: float
@@ -52,6 +56,19 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}"
             )
+        OrbitContext(self.m, self.g)  # m*g is checked before the sample count
+        # Rounding is monotone, so p runs monotonically from the first sample, p0,
+        # to the last: when both are finite, so is every p between them.  The last
+        # Euler p is a running sum with no closed form, so the whole run is summed.
+        for _, p in sample_rows(self, 1, sample_count(self) - 1):
+            OrbitPoint(p, self.q0)
+        if not math.isfinite(self.energy):
+            raise ValueError("non-finite energy H = m*g*q0")
+
+    @property
+    def energy(self) -> float:
+        """H = m*g*q0, the same on every sample (q stays q0)."""
+        return hamiltonian(OrbitContext(self.m, self.g), OrbitPoint(self.p0, self.q0))
 
 
 @dataclass(frozen=True)
@@ -101,9 +118,13 @@ def _time_grid(t_max: float, dt: float) -> tuple[int, bool]:
     steps = t_max / dt
     if math.isinf(steps):
         raise ValueError("too many samples: t_max/dt overflows")
-    n = int(math.floor(steps))
-    while n > 0 and n * dt > t_max:
-        n -= 1
+    n = math.floor(steps)
+    if n * dt > t_max:  # steps rounded up; above 2**53 k*dt is one float for many k
+        lo, hi = 0, n  # bisect: lo*dt <= t_max < hi*dt, and k*dt is monotone in k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid * dt > t_max else (mid, hi)
+        n = lo
     return n, n * dt < t_max
 
 
@@ -115,10 +136,10 @@ def sample_count(cfg: SimulationConfig) -> int:
 
 def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
                 every: int = 1) -> Iterator[tuple[float, float]]:
-    """(t, p) of the samples of cfg, final point included, unchecked (see
-    ``trajectory``); given a ``block`` size, only blocks first, first + every,
-    ... of that many samples.  The Euler sum steps over the samples skipped,
-    so each p is the same float as in the whole run."""
+    """(t, p) of the samples of cfg, final point included, all finite; given
+    a ``block`` size, only blocks first, first + every, ... of that many
+    samples.  The Euler sum steps over the samples skipped, so each p is the
+    same float as in the whole run."""
     n, final = _time_grid(cfg.t_max, cfg.dt)
     drift = physical_drift(OrbitContext(cfg.m, cfg.g)).dp
     p0, dt, t_max, block = cfg.p0, cfg.dt, cfg.t_max, block or n + 2
@@ -144,29 +165,8 @@ def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
             yield t_max, end
 
 
-def trajectory(cfg: SimulationConfig) -> tuple[float, Iterator[tuple[float, float]]]:
-    """The energy H and a lazy iterator over the (t, p) samples of cfg.
-
-    q stays q0 and H = m*g*q0 on every sample, so only t and p vary.  Every
-    sample is checked before this returns: ValueError is raised when H, any
-    p, or the sample count would not be finite, and then no sample exists.
-    The samples use memory independent of their number.
-    """
-    ctx = OrbitContext(cfg.m, cfg.g)
-    start = OrbitPoint(cfg.p0, cfg.q0)
-    # Rounding is monotone, so p runs monotonically from the first sample, p0,
-    # to the last: when both are finite, so is every p between them.  The last
-    # Euler p is a running sum with no closed form, so the whole run is summed.
-    for _, p in sample_rows(cfg, 1, sample_count(cfg) - 1):
-        OrbitPoint(p, cfg.q0)
-    energy = hamiltonian(ctx, start)
-    if not math.isfinite(energy):
-        raise ValueError("non-finite energy H = m*g*q0")
-    return energy, sample_rows(cfg)
-
-
 def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:
     """Sample the trajectory on the configured grid, final point included,
-    as a list; raises ValueError as ``trajectory`` does."""
-    energy, rows = trajectory(cfg)
-    return [TrajectorySample(t, p, cfg.q0, energy) for t, p in rows]
+    as a list."""
+    energy = cfg.energy
+    return [TrajectorySample(t, p, cfg.q0, energy) for t, p in sample_rows(cfg)]

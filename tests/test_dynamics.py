@@ -1,6 +1,10 @@
 """Exact flow, generators, trajectory sampling, and energy bookkeeping."""
 
+import math
 import random
+import select
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from aristotle.dynamics import (
     SimulationConfig,
     TrajectorySample,
+    _time_grid,
     evolve_exact,
     generator_left,
     hamiltonian,
@@ -15,7 +20,6 @@ from aristotle.dynamics import (
     sample_count,
     sample_rows,
     simulate,
-    trajectory,
 )
 from aristotle.orbit import (
     AffineObservable,
@@ -170,10 +174,9 @@ class TestTrajectory:
     def test_exact_rows_are_lazy(self):
         # 1e12 samples: only the rows taken are ever computed.
         cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1e3, dt=1e-9)
-        energy, rows = trajectory(cfg)
-        assert energy == 30.0
-        assert list(islice(rows, 3)) == [(0.0, 1.0), (1e-9, 1.0 + 6.0 * 1e-9),
-                                         (2e-9, 1.0 + 6.0 * 2e-9)]
+        assert cfg.energy == 30.0
+        assert list(islice(sample_rows(cfg), 3)) == [(0.0, 1.0), (1e-9, 1.0 + 6.0 * 1e-9),
+                                                     (2e-9, 1.0 + 6.0 * 2e-9)]
 
     @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
     def test_blocks_share_out_the_whole_run(self, integrator):
@@ -205,7 +208,73 @@ class TestTrajectory:
         too_many = dict(m=1.0, g=1.0, p0=1.0, q0=1.0, t_max=1e10, dt=1e-300)
         for base in (overflow_p, overflow_h, too_many):
             with pytest.raises(ValueError):
-                trajectory(SimulationConfig(**base, integrator=integrator))
+                SimulationConfig(**base, integrator=integrator)
+
+
+# Grids of about 3.6e23 and 8.1e29 steps on which floor(t_max/dt)*dt
+# overshoots t_max; n*dt then stays the same float over many steps of n.
+HUGE_GRIDS = [((1.4352975688775189e+231, 4.0021897092912223e+207),
+               (358628069415456673366016, True)),
+              ((4.694264214818541e+150, 5.770113319301335e+120),
+               (813548011113746811495240433664, True))]
+
+
+def _stepped_time_grid(t_max, dt):
+    """The grid clamp as one step down at a time: the reference for _time_grid."""
+    n = math.floor(t_max / dt)
+    while n > 0 and n * dt > t_max:
+        n -= 1
+    return n, n * dt < t_max
+
+
+class TestTimeGrid:
+    def test_huge_grids_are_clamped_at_once(self):
+        code = ("from aristotle.dynamics import _time_grid\n"
+                f"print([_time_grid(*grid) for grid, _ in {HUGE_GRIDS!r}])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        assert proc.stdout == f"{[expected for _, expected in HUGE_GRIDS]}\n"
+        for (t_max, dt), (n, _) in HUGE_GRIDS:
+            assert n * dt <= t_max < (n + 1) * dt
+
+    def test_huge_grid_streams_at_once(self, cli_command):
+        (t_max, dt), _ = HUGE_GRIDS[1]
+        argv = ["simulate", "--mass", "1", "--g", "1", "--p0", "0", "--q0", "0",
+                "--t-max", repr(t_max), "--dt", repr(dt)]
+        with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            head = b""
+            while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
+                   and (chunk := proc.stdout.read1(4096))):
+                head += chunk
+            proc.stdout.close()  # the reader stops early, as `| head` does
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+            err = proc.stderr.read()
+        assert head.startswith(b"t,p,q,H\n0,0,0,0\n")
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_clamp_matches_stepping_down(self):
+        # Up to 2**62 steps; t_max at a grid point, a few ulps below one
+        # (where floor(t_max/dt) overshoots), or one ulp above.
+        rng = random.Random(6)
+        overshoots = 0
+        for _ in range(20000):
+            k = rng.randrange(1, 2 ** rng.randrange(1, 63))
+            dt = 10.0 ** rng.uniform(-300, 299 - math.log10(k))
+            t_max = k * dt
+            if rng.random() < 0.6:
+                for _ in range(rng.randrange(1, 5)):
+                    t_max = math.nextafter(t_max, 0.0)
+            elif rng.random() < 0.5:
+                t_max = math.nextafter(t_max, math.inf)
+            expected = _stepped_time_grid(t_max, dt)
+            assert _time_grid(t_max, dt) == expected
+            overshoots += expected[0] < math.floor(t_max / dt) - 1
+        assert overshoots > 20  # cases where the old loop stepped down more than once
 
 
 class TestConfigValidation:

@@ -101,6 +101,34 @@ CORPUS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
+# Refusals, each but the last breaking two rules at once, so the rule checked
+# first names the error: m*g before the sample count, a degenerate orbit
+# before the sample count, the sample count before H, the last p before H,
+# and the config rules (m = 0, dt > t_max) before everything else.
+REFUSALS = {
+    "product_and_count": (["--mass", "1e200", "--g", "1e200", "--p0", "1", "--q0", "1",
+                           "--t-max", "1e10", "--dt", "1e-300"],
+                          "non-finite orbit parameter product m*g"),
+    "degenerate_and_count": (["--mass", "1e-200", "--g", "1e-200", "--p0", "1", "--q0", "1",
+                              "--t-max", "1e10", "--dt", "1e-300"],
+                             "degenerate orbit: m and g must both be nonzero "
+                             "for the chart q = -e/(m*g)"),
+    "count_and_energy": (["--mass", "2", "--g", "3", "--p0", "1", "--q0", "1e308",
+                          "--t-max", "1e10", "--dt", "1e-300"],
+                         "too many samples: t_max/dt overflows"),
+    "last_p_and_energy": (["--mass", "1e200", "--g", "1e100", "--p0", "1", "--q0", "1e10",
+                           "--t-max", "1e308", "--dt", "1e307"],
+                          "non-finite chart coordinate"),
+    "zero_mass_and_step": (["--mass", "0", "--g", "3", "--p0", "1", "--q0", "1",
+                            "--t-max", "1", "--dt", "2"],
+                           "m and g must be nonzero"),
+}
+FLAGS.update({name: flags for name, (flags, _) in REFUSALS.items()})
+CORPUS += [(name, integrator, fmt, 2, f"error: {message}\n",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+           for name, (_, message) in REFUSALS.items()
+           for integrator in ("exact", "symplectic_euler") for fmt in ("csv", "json")]
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
