@@ -64,15 +64,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail("--cases must be >= 1")
     if args.tol is not None and args.tol <= 0.0:
         return _fail("--tol must be positive")
-    report = verify.run_verify(args.seed, args.cases, args.tol)
-    for line in report.lines():
-        print(line)
-    failed = sum(1 for r in report.results if not r.passed)
-    print(
-        f"{len(report.results)} properties, {failed} failed "
-        f"(seed={report.seed}, cases={report.cases})"
-    )
-    return 0 if report.passed else 1
+    results = verify.run_verify(args.seed, args.cases, args.tol)
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} max_violation={r.max_violation!r}")
+    failed = sum(not r.passed for r in results)
+    print(f"{len(results)} properties, {failed} failed (seed={args.seed}, cases={args.cases})")
+    return 1 if failed else 0
 
 
 def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,

@@ -57,11 +57,20 @@ class SimulationConfig:
                 f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}"
             )
         OrbitContext(self.m, self.g)  # m*g is checked before the sample count
-        # Rounding is monotone, so p runs monotonically from the first sample, p0,
-        # to the last: when both are finite, so is every p between them.  The last
-        # Euler p is a running sum with no closed form, so the whole run is summed.
-        for _, p in sample_rows(self, 1, sample_count(self) - 1):
-            OrbitPoint(p, self.q0)
+        n, final = _time_grid(self.t_max, self.dt)
+        # Rounding is monotone, so exact p runs monotonically from the first sample,
+        # p0, to the last: when both are finite, so is every p between them.  An
+        # Euler p is a running sum with no closed form.  With s = m*g*dt, a step
+        # moves |p| by at most 3|s| while |p| <= 2**54*|s|, past that p + s rounds
+        # back to p when the two share a sign, and toward zero |p| cannot grow past
+        # max(|p0|, |s|).  So every Euler p, the final partial step included, is
+        # finite when this bound is; only when it overflows is the run summed.
+        mg = self.m * self.g
+        bound = 2 * (max(abs(self.p0), 2**55 * abs(mg * self.dt))
+                     + abs(mg * (self.t_max - n * self.dt)))
+        if self.integrator == "exact" or not math.isfinite(bound):
+            for _, p in sample_rows(self, 1, n + final):
+                OrbitPoint(p, self.q0)
         if not math.isfinite(self.energy):
             raise ValueError("non-finite energy H = m*g*q0")
 

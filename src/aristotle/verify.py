@@ -4,7 +4,9 @@ Each property draws its own deterministic input stream, seeded by the pair
 (seed, property name), so results never depend on the order in which
 properties run and the suite can be sharded without coordination.  A
 property reports its worst violation over the requested number of cases and
-passes when that maximum stays within its tolerance.
+passes when that maximum stays within its tolerance; a NaN violation is the
+worst case and fails.  ``run_verify`` returns one ``PropertyResult`` per
+property, and ``cli`` writes the report.
 
 Tolerance classes:
 
@@ -535,24 +537,7 @@ class PropertyResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    seed: int
-    cases: int
-    results: tuple[PropertyResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name} max_violation={r.max_violation!r}"
-            for r in self.results
-        ]
-
-
-def run_verify(seed: int, cases: int, tol: float | None = None) -> VerifyReport:
+def run_verify(seed: int, cases: int, tol: float | None = None) -> tuple[PropertyResult, ...]:
     """Run every registered property over `cases` seeded random inputs.
 
     ``tol``, when given, replaces the tolerance of the 1e-9 numerical class
@@ -568,9 +553,10 @@ def run_verify(seed: int, cases: int, tol: float | None = None) -> VerifyReport:
         rng = random.Random(f"{seed}:{prop.name}")
         worst = 0.0
         for _ in range(cases):
-            worst = max(worst, prop.check(rng))
+            violation = prop.check(rng)  # a NaN stays the worst case: it fails
+            worst = max(worst, violation) if violation == violation else violation
         tolerance = prop.tolerance
         if tol is not None and tolerance == NUMERICAL_TOL:
             tolerance = tol
         results.append(PropertyResult(prop.name, worst, tolerance, worst <= tolerance))
-    return VerifyReport(seed, cases, tuple(results))
+    return tuple(results)

@@ -227,6 +227,28 @@ def _stepped_time_grid(t_max, dt):
     return n, n * dt < t_max
 
 
+def _assert_streams_at_once(cli_command, t_max, dt, integrator):
+    """The CLI writes the first rows of a run from the origin within 10 s, and
+    ends quietly when its reader stops early, as `| head` does."""
+    argv = ["simulate", "--mass", "1", "--g", "1", "--p0", "0", "--q0", "0",
+            "--t-max", repr(t_max), "--dt", repr(dt), "--integrator", integrator]
+    with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = b""
+        while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
+               and (chunk := proc.stdout.read1(4096))):
+            head += chunk
+        proc.stdout.close()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        err = proc.stderr.read()
+    assert head.startswith(b"t,p,q,H\n0,0,0,0\n")
+    assert (proc.returncode, err) == (0, b"")
+
+
 class TestTimeGrid:
     def test_huge_grids_are_clamped_at_once(self):
         code = ("from aristotle.dynamics import _time_grid\n"
@@ -239,23 +261,11 @@ class TestTimeGrid:
 
     def test_huge_grid_streams_at_once(self, cli_command):
         (t_max, dt), _ = HUGE_GRIDS[1]
-        argv = ["simulate", "--mass", "1", "--g", "1", "--p0", "0", "--q0", "0",
-                "--t-max", repr(t_max), "--dt", repr(dt)]
-        with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE) as proc:
-            head = b""
-            while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
-                   and (chunk := proc.stdout.read1(4096))):
-                head += chunk
-            proc.stdout.close()  # the reader stops early, as `| head` does
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                raise
-            err = proc.stderr.read()
-        assert head.startswith(b"t,p,q,H\n0,0,0,0\n")
-        assert (proc.returncode, err) == (0, b"")
+        _assert_streams_at_once(cli_command, t_max, dt, "exact")
+
+    def test_huge_euler_run_streams_at_once(self, cli_command):
+        # 1e30 Euler steps: none may be summed before the first row is written.
+        _assert_streams_at_once(cli_command, 1e30, 1.0, "symplectic_euler")
 
     def test_clamp_matches_stepping_down(self):
         # Up to 2**62 steps; t_max at a grid point, a few ulps below one
@@ -275,6 +285,68 @@ class TestTimeGrid:
             assert _time_grid(t_max, dt) == expected
             overshoots += expected[0] < math.floor(t_max / dt) - 1
         assert overshoots > 20  # cases where the old loop stepped down more than once
+
+
+def _summed_check(m, g, p0, q0, t_max, dt):
+    """The refusal message of an Euler config that passes the field rules, or
+    None, found by summing its whole run: the reference for the step bound
+    in SimulationConfig."""
+    try:
+        OrbitContext(m, g)
+        n, final = _time_grid(t_max, dt)
+        p, step = p0, m * g * dt
+        for _ in range(n):
+            p = p + step
+        OrbitPoint(p + m * g * (t_max - n * dt) if final else p, q0)
+        if not math.isfinite(m * g * q0):
+            raise ValueError("non-finite energy H = m*g*q0")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _extreme_euler_configs(rng, count):
+    """Euler configs of up to 4095 steps with magnitudes 10**+-300: half of
+    them with p0 and s = m*g*dt drawn at random, half with |s| within 2**-60
+    and 2**-1 of the largest double and |p0| up to 2**60 |s|, where a run can
+    just overflow."""
+    big = 2.0 ** 1023
+
+    def sign():
+        return rng.choice((-1.0, 1.0))
+
+    for i in range(count):
+        dt = 10.0 ** rng.uniform(-300, 300)
+        g = sign() * 10.0 ** rng.uniform(-300, 300)
+        if i % 2:
+            mg, p0 = sign() * 10.0 ** rng.uniform(-300, 300), sign() * 10.0 ** rng.uniform(-300, 308)
+        else:
+            mg = sign() * big * 2.0 ** rng.uniform(-60, -1) / dt
+            p0 = sign() * abs(mg * dt) * 2.0 ** rng.uniform(0, 60)
+        m = mg / g
+        t_max = dt * (rng.randrange(1, 2 ** rng.randrange(1, 13)) + rng.choice((0.0, rng.random())))
+        values = dict(m=m, g=g, p0=p0, q0=sign() * 10.0 ** rng.uniform(-300, 308),
+                      t_max=t_max, dt=dt)
+        if all(map(math.isfinite, values.values())) and m != 0.0:
+            yield values
+
+
+class TestEulerStepBound:
+    def test_decisions_match_the_summed_run(self):
+        rng = random.Random(7)
+        refused = accepted = 0
+        for values in _extreme_euler_configs(rng, 6000):
+            try:
+                cfg = SimulationConfig(**values, integrator="symplectic_euler")
+                decision = None
+            except ValueError as err:
+                decision = str(err)
+            assert decision == _summed_check(**values), values
+            if decision is None:
+                accepted += 1
+                assert all(math.isfinite(p) for _, p in sample_rows(cfg)), values
+            refused += decision == "non-finite chart coordinate"
+        assert accepted > 1000 and refused > 100
 
 
 class TestConfigValidation:

@@ -1,20 +1,21 @@
 """Verification engine: determinism, report semantics, and mutation killing."""
 
+import math
+
 import pytest
 
 from aristotle import group, verify
 from aristotle.group import ExtendedElement
 
 
-def result_map(report):
-    return {r.name: r for r in report.results}
+def result_map(results):
+    return {r.name: r for r in results}
 
 
 class TestReport:
     def test_all_properties_pass(self):
-        report = verify.run_verify(seed=42, cases=50)
-        assert report.passed
-        assert all(r.passed for r in report.results)
+        results = verify.run_verify(seed=42, cases=50)
+        assert all(r.passed for r in results)
 
     def test_property_names_are_unique(self):
         names = [p.name for p in verify.PROPERTIES]
@@ -25,11 +26,17 @@ class TestReport:
         second = verify.run_verify(seed=7, cases=40)
         assert first == second
 
-    def test_lines_format(self):
-        report = verify.run_verify(seed=1, cases=5)
-        for line, result in zip(report.lines(), report.results):
+    def test_lines_format(self, capsys):
+        from aristotle import cli
+
+        results = verify.run_verify(seed=1, cases=5)
+        assert cli.main(["verify", "--seed", "1", "--cases", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(results) + 1
+        for line, result in zip(lines, results):
             status = "PASS" if result.passed else "FAIL"
             assert line == f"{status} {result.name} max_violation={result.max_violation!r}"
+        assert lines[-1] == f"{len(results)} properties, 0 failed (seed=1, cases=5)"
 
     def test_exact_properties_report_zero(self):
         report = verify.run_verify(seed=3, cases=100)
@@ -70,9 +77,9 @@ class TestCocycleMutation:
         monkeypatch.setattr(group, "multiply_extended", flat_multiply)
 
     def test_mutation_is_killed(self, mutated):
-        report = verify.run_verify(seed=42, cases=50)
-        assert not report.passed
-        by_name = result_map(report)
+        results = verify.run_verify(seed=42, cases=50)
+        assert not all(r.passed for r in results)
+        by_name = result_map(results)
         assert by_name["extended_associativity"].passed
         assert by_name["extended_identity"].passed
         assert not by_name["coadjoint_equivariance"].passed
@@ -85,6 +92,40 @@ class TestCocycleMutation:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL coadjoint_equivariance" in out
+
+
+class TestNaNViolationMutation:
+    """A property whose check returns NaN must FAIL, not read as 0.
+
+    max(0.0, nan) is 0.0, so a runner that folds violations with max alone
+    would pass a cocycle that is NaN everywhere.
+    """
+
+    @pytest.fixture
+    def mutated(self, monkeypatch):
+        monkeypatch.setattr(group, "cocycle", lambda g, a, b: math.nan)
+
+    def test_mutation_is_killed(self, mutated):
+        by_name = result_map(verify.run_verify(seed=1, cases=20))
+        for name in ("cocycle_identity", "cocycle_coboundary"):
+            assert not by_name[name].passed
+            assert math.isnan(by_name[name].max_violation)
+
+    def test_cli_exits_one(self, mutated, capsys):
+        from aristotle import cli
+
+        assert cli.main(["verify", "--seed", "1", "--cases", "20"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL cocycle_identity max_violation=nan" in lines
+        assert "FAIL cocycle_coboundary max_violation=nan" in lines
+        assert lines[-1] == "37 properties, 2 failed (seed=1, cases=20)"
+
+    def test_nan_stays_the_worst_case(self, monkeypatch):
+        violations = iter([0.5, math.nan, 2.0])
+        prop = verify.Property("p", 1.0, lambda rng: next(violations))
+        monkeypatch.setattr(verify, "PROPERTIES", (prop,))
+        (result,) = verify.run_verify(seed=1, cases=3)
+        assert math.isnan(result.max_violation) and not result.passed
 
 
 class TestEnergyMutation:
