@@ -12,8 +12,9 @@ Basis order is (P, E, M) = (0, 1, 2) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
+
+from .record import Record
 
 P_INDEX, E_INDEX, M_INDEX = 0, 1, 2
 
@@ -22,22 +23,18 @@ class AntisymmetryError(ValueError):
     """A bracket table violates c[i][j][k] == -c[j][i][k]."""
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Coefficient triple over the basis (P, E, M).
 
     As a group logarithm the coefficients are the coordinates (x, t, xi):
     c_P is a length, c_E a time, and c_M carries L^2 T^-1.
     """
 
-    c_P: float
-    c_E: float
-    c_M: float
-
-    def __post_init__(self) -> None:
-        for name in ("c_P", "c_E", "c_M"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, c_P: float, c_E: float, c_M: float) -> None:
+        for name, value in (("c_P", c_P), ("c_E", c_E), ("c_M", c_M)):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite coefficient {name}")
+        self.__dict__.update(c_P=c_P, c_E=c_E, c_M=c_M)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(
@@ -156,13 +153,11 @@ def jacobi_violation(table: BracketTable) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class Dimension:
+class Dimension(Record):
     """Physical dimension as the exponent triple of M^a L^b T^c."""
 
-    mass_exp: int
-    length_exp: int
-    time_exp: int
+    def __init__(self, mass_exp: int, length_exp: int, time_exp: int) -> None:
+        self.__dict__.update(mass_exp=mass_exp, length_exp=length_exp, time_exp=time_exp)
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(

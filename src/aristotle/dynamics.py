@@ -17,60 +17,57 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .orbit import OrbitContext, OrbitPoint, OrbitTangent
+from .record import Record
 
 INTEGRATORS = ("exact", "symplectic_euler")
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """Trajectory request: orbit parameters, initial point, grid, integrator.
 
     Building one checks its whole run: ValueError is raised when m*g, the
     sample count, any p or H would not be finite, so every sample is finite.
     """
 
-    m: float
-    g: float
-    p0: float
-    q0: float
-    t_max: float
-    dt: float
-    integrator: str = "exact"
-
-    def __post_init__(self) -> None:
-        for name in ("m", "g", "p0", "q0", "t_max", "dt"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, m: float, g: float, p0: float, q0: float, t_max: float,
+                 dt: float, integrator: str = "exact") -> None:
+        for name, value in (("m", m), ("g", g), ("p0", p0), ("q0", q0),
+                            ("t_max", t_max), ("dt", dt)):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite configuration value {name}")
-        if self.m == 0.0 or self.g == 0.0:
+        if m == 0.0 or g == 0.0:
             raise ValueError("m and g must be nonzero")
-        if self.dt <= 0.0:
+        if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.t_max < 0.0:
+        if t_max < 0.0:
             raise ValueError("t_max must be nonnegative")
-        if self.t_max > 0.0 and self.dt > self.t_max:
+        if t_max > 0.0 and dt > t_max:
             raise ValueError("dt must not exceed t_max")
-        if self.integrator not in INTEGRATORS:
+        if integrator not in INTEGRATORS:
             raise ValueError(
-                f"unknown integrator {self.integrator!r}; expected one of {INTEGRATORS}"
+                f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}"
             )
-        OrbitContext(self.m, self.g)  # m*g is checked before the sample count
-        n, final = _time_grid(self.t_max, self.dt)
+        OrbitContext(m, g)  # m*g is checked before the sample count
+        n, final = _time_grid(t_max, dt)
+        self.__dict__.update(m=m, g=g, p0=p0, q0=q0, t_max=t_max, dt=dt,
+                             integrator=integrator)
         # Rounding is monotone, so exact p runs monotonically from the first sample,
         # p0, to the last: when both are finite, so is every p between them.  An
         # Euler p is a running sum with no closed form.  With s = m*g*dt, a step
         # moves |p| by at most 3|s| while |p| <= 2**54*|s|, past that p + s rounds
         # back to p when the two share a sign, and toward zero |p| cannot grow past
-        # max(|p0|, |s|).  So every Euler p, the final partial step included, is
-        # finite when this bound is; only when it overflows is the run summed.
-        mg = self.m * self.g
-        bound = 2 * (max(abs(self.p0), 2**55 * abs(mg * self.dt))
-                     + abs(mg * (self.t_max - n * self.dt)))
-        if self.integrator == "exact" or not math.isfinite(bound):
+        # max(|p0|, |s|).  So |p| stays below both max(|p0|, 2**55*|s|) and
+        # |p0| + 3*n*|s|, and every Euler p, the final partial step included, is
+        # finite when either bound is; only when both overflow is the run summed.
+        mg = m * g
+        s = abs(mg * dt)
+        bound = 2 * (min(max(abs(p0), 2**55 * s), abs(p0) + 3 * s * n)
+                     + abs(mg * (t_max - n * dt)))
+        if integrator == "exact" or not math.isfinite(bound):
             for _, p in sample_rows(self, 1, n + final):
-                OrbitPoint(p, self.q0)
+                OrbitPoint(p, q0)
         if not math.isfinite(self.energy):
             raise ValueError("non-finite energy H = m*g*q0")
 
@@ -80,14 +77,11 @@ class SimulationConfig:
         return hamiltonian(OrbitContext(self.m, self.g), OrbitPoint(self.p0, self.q0))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(Record):
     """One trajectory record; H is m*g*q for the producing configuration."""
 
-    t: float
-    p: float
-    q: float
-    H: float
+    def __init__(self, t: float, p: float, q: float, H: float) -> None:
+        self.__dict__.update(t=t, p=p, q=q, H=H)
 
 
 def hamiltonian(ctx: OrbitContext, pt: OrbitPoint) -> float:

@@ -19,32 +19,26 @@ differ by the coboundary of beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BaseElement:
+class BaseElement(Record):
     """Space-time translation: t shifts time (units T), h shifts space (units L)."""
 
-    t: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.h)):
+    def __init__(self, t: float, h: float) -> None:
+        if not (math.isfinite(t) and math.isfinite(h)):
             raise ValueError("non-finite group coordinate")
+        self.__dict__.update(t=t, h=h)
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
+class ExtendedElement(Record):
     """Element (xi, t, h) of the central extension in polarized coordinates."""
 
-    xi: float
-    t: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.xi) and math.isfinite(self.t) and math.isfinite(self.h)):
+    def __init__(self, xi: float, t: float, h: float) -> None:
+        if not (math.isfinite(xi) and math.isfinite(t) and math.isfinite(h)):
             raise ValueError("non-finite group coordinate")
+        self.__dict__.update(xi=xi, t=t, h=h)
 
 
 BASE_IDENTITY = BaseElement(0.0, 0.0)

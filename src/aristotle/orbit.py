@@ -22,11 +22,11 @@ Sign conventions, fixed once and tested rather than left implicit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import group
 from .algebra import AlgebraElement
 from .group import BaseElement
+from .record import Record
 
 
 class DegenerateOrbitError(ValueError):
@@ -37,59 +37,48 @@ class OrbitMismatchError(ValueError):
     """A dual point was interpreted under an orbit context with a different m."""
 
 
-@dataclass(frozen=True)
-class CoadjointPoint:
+class CoadjointPoint(Record):
     """Dual-space point: m a mass, e an energy, p a linear momentum."""
 
-    m: float
-    e: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.e) and math.isfinite(self.p)):
+    def __init__(self, m: float, e: float, p: float) -> None:
+        if not (math.isfinite(m) and math.isfinite(e) and math.isfinite(p)):
             raise ValueError("non-finite dual coordinate")
+        self.__dict__.update(m=m, e=e, p=p)
 
 
-@dataclass(frozen=True)
-class OrbitContext:
+class OrbitContext(Record):
     """Orbit parameters: the invariant m and the gravitational acceleration g.
 
     Kept separate from chart points so a (p, q) pair is never read under the
     wrong orbit.
     """
 
-    m: float
-    g: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.g)):
+    def __init__(self, m: float, g: float) -> None:
+        if not (math.isfinite(m) and math.isfinite(g)):
             raise ValueError("non-finite orbit parameter")
         # The chart divides by m*g, so the product must survive in double
         # precision too (it can underflow to zero for nonzero factors).
-        if self.m == 0.0 or self.g == 0.0 or self.m * self.g == 0.0:
+        if m == 0.0 or g == 0.0 or m * g == 0.0:
             raise DegenerateOrbitError(
                 "degenerate orbit: m and g must both be nonzero "
                 "for the chart q = -e/(m*g)"
             )
         # An overflowed m*g would make every chart q = -e/(m*g) read as zero.
-        if math.isinf(self.m * self.g):
+        if math.isinf(m * g):
             raise ValueError("non-finite orbit parameter product m*g")
+        self.__dict__.update(m=m, g=g)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(Record):
     """Chart coordinates (p, q) on a two-dimensional orbit."""
 
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+    def __init__(self, p: float, q: float) -> None:
+        if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError("non-finite chart coordinate")
+        self.__dict__.update(p=p, q=q)
 
 
-@dataclass(frozen=True)
-class AffineObservable:
+class AffineObservable(Record):
     """Affine function a_p*p + a_q*q + c on the orbit chart.
 
     Every observable this package needs (p, -m*g*q, m*g*q, constants) is
@@ -97,28 +86,22 @@ class AffineObservable:
     arithmetic stays exact instead of symbolic.
     """
 
-    a_p: float
-    a_q: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a_p) and math.isfinite(self.a_q) and math.isfinite(self.c)):
+    def __init__(self, a_p: float, a_q: float, c: float) -> None:
+        if not (math.isfinite(a_p) and math.isfinite(a_q) and math.isfinite(c)):
             raise ValueError("non-finite observable coefficient")
+        self.__dict__.update(a_p=a_p, a_q=a_q, c=c)
 
     def value(self, pt: OrbitPoint) -> float:
         return self.a_p * pt.p + self.a_q * pt.q + self.c
 
 
-@dataclass(frozen=True)
-class OrbitTangent:
+class OrbitTangent(Record):
     """Components (dp, dq) of a constant vector field on the chart."""
 
-    dp: float
-    dq: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dp) and math.isfinite(self.dq)):
+    def __init__(self, dp: float, dq: float) -> None:
+        if not (math.isfinite(dp) and math.isfinite(dq)):
             raise ValueError("non-finite tangent component")
+        self.__dict__.update(dp=dp, dq=dq)
 
 
 def pairing(f: CoadjointPoint, x: AlgebraElement) -> float:

@@ -101,7 +101,7 @@ def _reldiff(x: float, y: float) -> float:
 
 
 def _diff(a, b, measure=_absdiff) -> float:
-    """Worst field-by-field violation between two values of one dataclass."""
+    """Worst field-by-field violation between two values of one record class."""
     return max(map(measure, vars(a).values(), vars(b).values()))
 
 

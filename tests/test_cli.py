@@ -321,6 +321,22 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_import_does_not_load_the_suite_or_dataclasses(self):
+        # -S: a .pth file run by `site` could import these itself.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.cli\n"
+                "print(sorted({'aristotle.verify', 'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_verify_is_loaded_as_the_attribute_cli_verify(self):
+        code = ("import sys, aristotle.cli as cli\n"
+                "assert 'aristotle.verify' not in sys.modules\n"
+                "assert cli.verify is sys.modules['aristotle.verify']\n"
+                "assert not hasattr(cli, 'no_such_name')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_import_does_not_load_process_pools(self):
         code = ("import sys, aristotle.cli\n"
                 "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")

@@ -227,10 +227,10 @@ def _stepped_time_grid(t_max, dt):
     return n, n * dt < t_max
 
 
-def _assert_streams_at_once(cli_command, t_max, dt, integrator):
+def _assert_streams_at_once(cli_command, t_max, dt, integrator, mass=1.0, g=1.0):
     """The CLI writes the first rows of a run from the origin within 10 s, and
     ends quietly when its reader stops early, as `| head` does."""
-    argv = ["simulate", "--mass", "1", "--g", "1", "--p0", "0", "--q0", "0",
+    argv = ["simulate", "--mass", repr(mass), "--g", repr(g), "--p0", "0", "--q0", "0",
             "--t-max", repr(t_max), "--dt", repr(dt), "--integrator", integrator]
     with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE) as proc:
@@ -266,6 +266,10 @@ class TestTimeGrid:
     def test_huge_euler_run_streams_at_once(self, cli_command):
         # 1e30 Euler steps: none may be summed before the first row is written.
         _assert_streams_at_once(cli_command, 1e30, 1.0, "symplectic_euler")
+
+    def test_huge_euler_run_of_huge_steps_streams_at_once(self, cli_command):
+        # 1e15 steps of 1e292: 2**55 steps overflow, but 3 * 1e15 steps do not.
+        _assert_streams_at_once(cli_command, 1e5, 1e-10, "symplectic_euler", 1e151, 1e151)
 
     def test_clamp_matches_stepping_down(self):
         # Up to 2**62 steps; t_max at a grid point, a few ulps below one

@@ -41,3 +41,19 @@ def test_layers_run_against_the_package(layers, tmp_path):
     _, problems = layers.run_pass(pkg, calls, str(tmp_path), tracer)
     assert problems == []
     assert tracer.total_ns("cli.cmd_simulate") > 0
+
+
+def test_traced_verify_call_reaches_the_patched_cli_verify(layers, tmp_path):
+    # `traced` replaces `cli.verify` with a wrapped view, and the verify
+    # subcommand must call run_verify through it.
+    from workloads import Call
+
+    pkg = types.SimpleNamespace(algebra=algebra, group=group, orbit=orbit,
+                                dynamics=dynamics, verify=verify, cli=cli)
+    call = Call("verify", ("verify", "--seed", "1", "--cases", "2"), 37 * 2,
+                {"seed": 1, "cases": 2})
+    tracer = layers.Tracer()
+    _, problems = layers.run_pass(pkg, [call], str(tmp_path), tracer)
+    assert problems == []
+    assert tracer.total_ns("verify.run_verify") > 0
+    assert cli.verify is verify

@@ -1,0 +1,154 @@
+"""The value classes of the chain are frozen records: each keeps what
+`@dataclass(frozen=True)` gave it (no assignment or deletion, equality only
+within its class, the field-tuple hash, the dataclass repr, fields in
+declaration order, keyword construction) and its validation messages."""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import pytest
+
+from aristotle.algebra import AlgebraElement, Dimension
+from aristotle.dynamics import SimulationConfig, TrajectorySample
+from aristotle.group import BaseElement, ExtendedElement
+from aristotle.orbit import (
+    AffineObservable,
+    CoadjointPoint,
+    DegenerateOrbitError,
+    OrbitContext,
+    OrbitPoint,
+    OrbitTangent,
+)
+
+# Each class with valid arguments, its field names in declaration order, and
+# the message of a non-finite float field (None: its fields are unchecked).
+RECORDS = [
+    (AlgebraElement, (1.5, -2.0, 0.25), ("c_P", "c_E", "c_M"), "non-finite coefficient {}"),
+    (Dimension, (1, 2, -1), ("mass_exp", "length_exp", "time_exp"), None),
+    (BaseElement, (3.0, -4.0), ("t", "h"), "non-finite group coordinate"),
+    (ExtendedElement, (0.5, 3.0, -4.0), ("xi", "t", "h"), "non-finite group coordinate"),
+    (CoadjointPoint, (5.0, -30.0, 31.0), ("m", "e", "p"), "non-finite dual coordinate"),
+    (OrbitContext, (5.0, 2.0), ("m", "g"), "non-finite orbit parameter"),
+    (OrbitPoint, (31.0, -0.0), ("p", "q"), "non-finite chart coordinate"),
+    (AffineObservable, (1.0, -10.0, 5.0), ("a_p", "a_q", "c"), "non-finite observable coefficient"),
+    (OrbitTangent, (-10.0, 0.0), ("dp", "dq"), "non-finite tangent component"),
+    (SimulationConfig, (2.0, 3.0, 1.0, 5.0, 4.0, 0.5, "symplectic_euler"),
+     ("m", "g", "p0", "q0", "t_max", "dt", "integrator"), "non-finite configuration value {}"),
+    (TrajectorySample, (0.5, 4.0, 5.0, 30.0), ("t", "p", "q", "H"), None),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+def reference(cls, fields):
+    """The frozen dataclass these records replaced, without its checks."""
+    return dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+
+
+@pytest.mark.parametrize("cls, args, fields, message", RECORDS, ids=IDS)
+class TestRecordContract:
+    def test_fields_are_stored_in_declaration_order(self, cls, args, fields, message):
+        x = cls(*args)
+        assert list(vars(x)) == list(fields)
+        assert [getattr(x, name) for name in fields] == list(args)
+
+    def test_keyword_construction(self, cls, args, fields, message):
+        assert cls(**dict(zip(fields, args))) == cls(*args)
+
+    def test_assignment_and_deletion_raise(self, cls, args, fields, message):
+        x = cls(*args)
+        for name in (*fields, "other"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(x, name, 1.0)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(x, name)
+        assert list(vars(x).values()) == list(args)
+
+    def test_matches_the_frozen_dataclass(self, cls, args, fields, message):
+        x, ref = cls(*args), reference(cls, fields)(*args)
+        assert repr(x) == repr(ref)
+        assert hash(x) == hash(ref) == hash(tuple(args))
+
+    def test_equality_holds_within_one_class(self, cls, args, fields, message):
+        x = cls(*args)
+        assert x == cls(*args) and not x != cls(*args)
+        assert x != tuple(args) and x != reference(cls, fields)(*args)
+        changed = (args[0] + 1, *args[1:])
+        assert x != cls(*changed) and hash(x) != hash(cls(*changed))
+
+    def test_copies_and_pickles_to_an_equal_record(self, cls, args, fields, message):
+        x = cls(*args)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is cls and y == x and list(vars(y)) == list(fields)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls, args, fields, message", [r for r in RECORDS if r[3]],
+                         ids=[i for i, r in zip(IDS, RECORDS) if r[3]])
+def test_non_finite_messages_name_the_first_bad_field(cls, args, fields, message, bad):
+    floats = [i for i, a in enumerate(args) if isinstance(a, float)]
+    for i in floats:
+        # Every float field from i on is bad: the check names field i.
+        values = [bad if j in floats and j >= i else a for j, a in enumerate(args)]
+        with pytest.raises(ValueError) as err:
+            cls(*values)
+        assert type(err.value) is ValueError and str(err.value) == message.format(fields[i])
+
+
+def test_chart_point_differs_from_tangent_of_same_components():
+    assert OrbitPoint(1.0, 2.0) != OrbitTangent(1.0, 2.0)
+    assert OrbitPoint(1.0, 2.0).__eq__(OrbitTangent(1.0, 2.0)) is NotImplemented
+
+
+def test_reprs_are_the_dataclass_form():
+    assert repr(OrbitPoint(1.0, -0.0)) == "OrbitPoint(p=1.0, q=-0.0)"
+    assert repr(Dimension(1, 2, -1)) == "Dimension(mass_exp=1, length_exp=2, time_exp=-1)"
+    assert repr(SimulationConfig(2.0, 3.0, 1.0, 5.0, 4.0, 0.5)) == (
+        "SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5, integrator='exact')")
+
+
+def test_signed_zeros_are_equal_with_equal_hashes():
+    assert OrbitPoint(0.0, 1.0) == OrbitPoint(-0.0, 1.0)
+    assert hash(OrbitPoint(0.0, 1.0)) == hash(OrbitPoint(-0.0, 1.0))
+
+
+def test_simulation_config_integrator_defaults_to_exact():
+    cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
+    assert cfg.integrator == "exact"
+    assert cfg == SimulationConfig(2.0, 3.0, 1.0, 5.0, 4.0, 0.5, "exact")
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0.0, 3.0, 1.0, 5.0, -4.0, -1.0, "rk4"), ValueError, "m and g must be nonzero"),
+    ((2.0, 3.0, 1.0, 5.0, -4.0, -1.0, "rk4"), ValueError, "dt must be positive"),
+    ((2.0, 3.0, 1.0, 5.0, -4.0, 0.5, "rk4"), ValueError, "t_max must be nonnegative"),
+    ((2.0, 3.0, 1.0, 5.0, 0.25, 0.5, "rk4"), ValueError, "dt must not exceed t_max"),
+    ((2.0, 3.0, 1.0, 5.0, 4.0, 0.5, "rk4"), ValueError,
+     "unknown integrator 'rk4'; expected one of ('exact', 'symplectic_euler')"),
+    ((1e-200, 1e-200, 1.0, 5.0, 4.0, 0.5), DegenerateOrbitError,
+     "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
+    ((1e200, 1e200, 1.0, 5.0, 1e300, 1e-300), ValueError,
+     "non-finite orbit parameter product m*g"),
+    ((2.0, 3.0, 1.0, 5.0, 1e300, 1e-300), ValueError, "too many samples: t_max/dt overflows"),
+    ((1e154, 1e154, 1e308, 0.0, 4.0, 0.5), ValueError, "non-finite chart coordinate"),
+    ((2.0, 3.0, 1.0, 1e308, 4.0, 0.5), ValueError, "non-finite energy H = m*g*q0"),
+])
+def test_simulation_config_checks_run_in_order(args, error, message):
+    with pytest.raises(error) as err:
+        SimulationConfig(*args)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("m, g, error, message", [
+    (math.nan, 0.0, ValueError, "non-finite orbit parameter"),
+    (0.0, 2.0, DegenerateOrbitError,
+     "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
+    (1e-200, 1e-200, DegenerateOrbitError,
+     "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
+    (1e200, -1e200, ValueError, "non-finite orbit parameter product m*g"),
+])
+def test_orbit_context_checks_run_in_order(m, g, error, message):
+    with pytest.raises(error) as err:
+        OrbitContext(m, g)
+    assert type(err.value) is error and str(err.value) == message
