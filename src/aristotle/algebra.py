@@ -12,7 +12,7 @@ Basis order is (P, E, M) = (0, 1, 2) throughout.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .record import Record
 

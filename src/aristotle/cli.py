@@ -19,7 +19,6 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
-from typing import TextIO
 
 from . import dynamics, group, orbit
 
@@ -144,7 +143,7 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
         raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")
 
 
-def _write_trajectory(fh: TextIO, cfg: dynamics.SimulationConfig, fmt: str) -> None:
+def _write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str) -> None:
     """Write the samples of cfg, all finite, to fh.
 
     Forked workers format the rows on every CPU the process may use, unless

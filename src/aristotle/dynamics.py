@@ -27,8 +27,8 @@ INTEGRATORS = ("exact", "symplectic_euler")
 class SimulationConfig(Record):
     """Trajectory request: orbit parameters, initial point, grid, integrator.
 
-    Building one checks its whole run: ValueError is raised when m*g, the
-    sample count, any p or H would not be finite, so every sample is finite.
+    Building one checks its whole run by its last sample: ValueError is raised
+    unless m*g, the sample count, every p and H are finite.
     """
 
     def __init__(self, m: float, g: float, p0: float, q0: float, t_max: float,
@@ -53,21 +53,9 @@ class SimulationConfig(Record):
         n, final = _time_grid(t_max, dt)
         self.__dict__.update(m=m, g=g, p0=p0, q0=q0, t_max=t_max, dt=dt,
                              integrator=integrator)
-        # Rounding is monotone, so exact p runs monotonically from the first sample,
-        # p0, to the last: when both are finite, so is every p between them.  An
-        # Euler p is a running sum with no closed form.  With s = m*g*dt, a step
-        # moves |p| by at most 3|s| while |p| <= 2**54*|s|, past that p + s rounds
-        # back to p when the two share a sign, and toward zero |p| cannot grow past
-        # max(|p0|, |s|).  So |p| stays below both max(|p0|, 2**55*|s|) and
-        # |p0| + 3*n*|s|, and every Euler p, the final partial step included, is
-        # finite when either bound is; only when both overflow is the run summed.
-        mg = m * g
-        s = abs(mg * dt)
-        bound = 2 * (min(max(abs(p0), 2**55 * s), abs(p0) + 3 * s * n)
-                     + abs(mg * (t_max - n * dt)))
-        if integrator == "exact" or not math.isfinite(bound):
-            for _, p in sample_rows(self, 1, n + final):
-                OrbitPoint(p, q0)
+        # Rounding is monotone, so every p lies between p0 and the last sample.
+        for _, p in sample_rows(self, 1, n + final):
+            OrbitPoint(p, q0)
         if not math.isfinite(self.energy):
             raise ValueError("non-finite energy H = m*g*q0")
 
@@ -141,12 +129,11 @@ def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
                 every: int = 1) -> Iterator[tuple[float, float]]:
     """(t, p) of the samples of cfg, final point included, all finite; given
     a ``block`` size, only blocks first, first + every, ... of that many
-    samples.  The Euler sum steps over the samples skipped, so each p is the
-    same float as in the whole run."""
+    samples.  An Euler block starts from its p found binade by binade, so each
+    p is the same float as in the whole run."""
     n, final = _time_grid(cfg.t_max, cfg.dt)
     drift = physical_drift(OrbitContext(cfg.m, cfg.g)).dp
-    p0, dt, t_max, block = cfg.p0, cfg.dt, cfg.t_max, block or n + 2
-    p, at, step = p0, 0, drift * dt  # Euler: p is the running sum at grid point `at`
+    p0, dt, t_max, step, block = cfg.p0, cfg.dt, cfg.t_max, drift * cfg.dt, block or n + 2
     for start in range(first * block, n + 1 + final, every * block):
         stop = min(start + block, n + 1)  # the grid points of this block end here
         if cfg.integrator == "exact":
@@ -155,17 +142,35 @@ def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
                 yield t, p0 + drift * t  # evolve_exact, without a point per row
             end = p0 + drift * t_max
         else:
-            for _ in range(at, min(start, n)):
-                p = p + step
-            for k in range(start, min(stop, n)):
+            p = _euler_steps(p0, step, start)
+            for k in range(start, stop):
                 yield k * dt, p
                 p = p + step
-            at = min(stop, n)
-            if start <= n < stop:
-                yield n * dt, p
-            end = p + drift * (t_max - n * dt)  # a partial step for the rest of the grid
+            end = _euler_steps(p0, step, n) + drift * (t_max - n * dt)  # a partial last step
         if final and start + block > n + 1:
             yield t_max, end
+
+
+def _euler_steps(p: float, s: float, k: int) -> float:
+    """p after k rounded steps p = p + s, the same float, in O(binades) passes.
+
+    In a binade of ulp u each step adds one multiple r of u (at a tie with an
+    odd r/u the steps alternate), so a q whose next two steps add r strides to
+    the binade's edge: 2**53 - 1 ulps out, -(2**52) - 1 in, or -1 where one
+    ulp holds down to zero."""
+    while k:
+        q, k = p + s, k - 1
+        if q == p or math.isinf(q):  # p stays put from here on
+            return q
+        u, r = math.ulp(q), (q + s) - q
+        if r and (q + r + s) - (q + r) == r:  # false for an infinite r
+            a = q / u if s > 0 else -q / u  # q in ulps, signed along the steps
+            edge = 2**53 - 1 if a >= 0 else -1 if u == math.ulp(0.0) else -2**52 - 1
+            j = min(k, int((edge - a) // abs(r / u)))
+            if j > 0:
+                q, k = q + j * r, k - j
+        p = q
+    return p
 
 
 def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:

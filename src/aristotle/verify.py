@@ -26,9 +26,9 @@ Coordinates are drawn from [-10, 10], the acceleration from
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from . import algebra, dynamics, group, orbit
 

@@ -325,7 +325,8 @@ class TestSubprocess:
         # -S: a .pth file run by `site` could import these itself.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.cli\n"
-                "print(sorted({'aristotle.verify', 'dataclasses', 'inspect'} & set(sys.modules)))")
+                "print(sorted({'aristotle.verify', 'dataclasses', 'inspect', 'typing'}"
+                " & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

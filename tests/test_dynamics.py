@@ -1,5 +1,6 @@
 """Exact flow, generators, trajectory sampling, and energy bookkeeping."""
 
+import ast
 import math
 import random
 import select
@@ -12,6 +13,7 @@ import pytest
 from aristotle.dynamics import (
     SimulationConfig,
     TrajectorySample,
+    _euler_steps,
     _time_grid,
     evolve_exact,
     generator_left,
@@ -351,6 +353,143 @@ class TestEulerStepBound:
                 assert all(math.isfinite(p) for _, p in sample_rows(cfg)), values
             refused += decision == "non-finite chart coordinate"
         assert accepted > 1000 and refused > 100
+
+
+def _euler_step_inputs(rng, count):
+    """(p, s) pairs where rounded steps p = p + s are delicate: ties, binade
+    edges, subnormals and signed zeros, runs across zero, runs that stop
+    moving, and the overflow threshold."""
+    big = 1.7976931348623157e308
+
+    def sign():
+        return rng.choice((-1.0, 1.0))
+
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:  # a tie: s an odd multiple of half an ulp of p's binade
+            p = sign() * 2.0 ** rng.uniform(-1073, 1023)
+            s = sign() * rng.randrange(1, 16, 2) * math.ulp(p) / 2
+        elif kind == 1:  # p a few ulps to either side of a binade edge
+            p = sign() * 2.0 ** rng.randrange(-1073, 1023)
+            toward = rng.choice((0.0, 2 * p))
+            for _ in range(rng.randrange(1, 6)):
+                p = math.nextafter(p, toward)
+            s = sign() * math.ulp(p) * rng.choice((0.5, 1.0, 1.5, 3.0, 8 * rng.random()))
+        elif kind == 2:  # subnormal p and s, either of them possibly +-0
+            p = sign() * 5e-324 * rng.randrange(2 ** rng.randrange(1, 53))
+            s = sign() * 5e-324 * rng.randrange(2 ** rng.randrange(1, 20))
+        elif kind == 3:  # from p = -j*s (+-0 for j = 0) across zero
+            s = sign() * 10.0 ** rng.uniform(-323, 300)
+            p = -s * rng.randrange(3000) * rng.choice((1.0, rng.random()))
+        elif kind == 4:  # near the largest double: |s| >= 2**970, s = +-inf, or p stops
+            p = sign() * big * rng.uniform(0.5, 1.0)
+            s = rng.choice((sign() * 2.0 ** rng.uniform(970, 1023), sign() * math.inf,
+                            sign() * math.ulp(p) * 3 * rng.random()))
+        else:  # |s| from 2**-60 to 8 times |p|
+            p = sign() * 10.0 ** rng.uniform(-323, 308)
+            s = sign() * abs(p) * 2.0 ** rng.uniform(-60, 3)
+        yield p, s
+
+
+class TestEulerSteps:
+    def test_matches_the_sequential_sum(self):
+        # Runs of up to 1e5 steps, summed one step at a time and compared bit
+        # for bit, sign of zero included, at every k below 64 and at 16 more.
+        rng = random.Random(9)
+        for p0, s in _euler_step_inputs(rng, 3000):
+            k_max = min(10**5, rng.randrange(1, 2 ** rng.randrange(1, 18)))
+            checks = {*range(64), *(rng.randrange(k_max + 1) for _ in range(16)), k_max}
+            p = p0
+            for k in range(k_max + 1):
+                if k in checks:
+                    assert repr(_euler_steps(p0, s, k)) == repr(p), (p0, s, k)
+                p = p + s
+
+    def test_huge_step_counts_return_at_once(self):
+        # 10**18 steps each, (p, s, the float they reach): one step at a time,
+        # each would take years.  The first two cross the subnormals, where one
+        # ulp holds down to zero; the last crosses every binade twice.
+        cases = [(-2.0 ** -1023, 5e-324, 2.0 ** -1021), (5e-324, -5e-324, -2.0 ** -1021),
+                 (1.0, 1.0, 2.0 ** 53), (-1e10, 3.0, 2.0 ** 55), (-0.0, -0.3, -2.0 ** 52),
+                 (0.0, 1e292, math.inf), (-1.7976931348623157e308, 1e292, math.inf)]
+        code = ("import time\nfrom aristotle.dynamics import _euler_steps\n"
+                f"for p, s in {[(p.hex(), s.hex()) for p, s, _ in cases]!r}:\n"
+                "    start = time.perf_counter()\n"
+                "    p = _euler_steps(float.fromhex(p), float.fromhex(s), 10**18)\n"
+                "    print(p.hex(), time.perf_counter() - start)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert [float.fromhex(p) for p, _ in lines] == [p for _, _, p in cases]
+        assert max(float(seconds) for _, seconds in lines) < 0.1
+
+
+GRID_VALUES = (0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-10, 0.5,
+               1.0, -1.0, 3.0, 1e10, 1e154, 1e160, 1e290, 1e300, 8e307,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _cli_head(cli_command, argv):
+    """The first two stdout lines of the CLI, its exit code and stderr: the
+    lines must come within 10 s, and the CLI must then end within 10 s, after
+    its reader stops as `| head -2` does."""
+    with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = b""
+        while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
+               and (chunk := proc.stdout.read1(4096))):
+            head += chunk
+        proc.stdout.close()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        return head.splitlines()[:2], proc.returncode, proc.stderr.read()
+
+
+class TestRunCheck:
+    def test_grid_of_extreme_configs_is_decided_at_once(self):
+        # Every config is built for both integrators within 60 s, and an Euler
+        # decision of at most 2**16 steps is that of the summed run.
+        rng = random.Random(10)
+        grid = [tuple(rng.choice(GRID_VALUES) for _ in range(6)) for _ in range(4000)]
+        code = ("import ast, sys\nfrom aristotle.dynamics import SimulationConfig\n"
+                "def decide(values, integrator):\n"
+                "    try:\n"
+                "        SimulationConfig(*values, integrator=integrator)\n"
+                "    except ValueError as err:\n"
+                "        return str(err)\n"
+                "grid = ast.literal_eval(sys.stdin.read())\n"
+                "print([[decide(values, integrator) for values in grid]\n"
+                "       for integrator in ('exact', 'symplectic_euler')])\n")
+        proc = subprocess.run([sys.executable, "-c", code], input=repr(grid),
+                              capture_output=True, text=True, timeout=60)
+        exact, euler = ast.literal_eval(proc.stdout)
+        assert len(exact) == len(euler) == len(grid)
+        compared = []
+        for (m, g, p0, q0, t_max, dt), decision in zip(grid, euler):
+            if m and g and 0 < dt and 0 <= t_max and not 0 < t_max < dt and t_max / dt <= 2**16:
+                assert decision == _summed_check(m, g, p0, q0, t_max, dt), (m, g, p0, q0, t_max, dt)
+                compared.append(decision)
+        assert compared.count(None) > 50 and compared.count("non-finite chart coordinate") > 10
+
+    @pytest.mark.parametrize("argv, head, code, err", [
+        # 1e30 steps of 1 from 1e308: p never moves.
+        ("--mass 1 --g 1 --p0 1e308 --q0 0 --t-max 1e30 --dt 1",
+         [b"t,p,q,H", b"0,1e+308,0,0"], 0, b""),
+        # 1e16 steps of 1e292 end near 1.1e308, and 2e16 of them overflow.
+        ("--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 1e6 --dt 1e-10",
+         [b"t,p,q,H", b"0,0,0,0"], 0, b""),
+        ("--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 2e6 --dt 1e-10",
+         [], 2, b"error: non-finite chart coordinate\n"),
+        # m*g*dt overflows.
+        ("--mass 1e160 --g 1 --p0 0 --q0 0 --t-max 1e300 --dt 1e154",
+         [], 2, b"error: non-finite chart coordinate\n"),
+    ])
+    def test_huge_euler_runs_are_decided_at_once(self, cli_command, argv, head, code, err):
+        argv = ["simulate", *argv.split(), "--integrator", "symplectic_euler"]
+        assert _cli_head(cli_command, argv) == (head, code, err)
 
 
 class TestConfigValidation:
