@@ -84,21 +84,17 @@ def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
             workers: int = 1) -> Iterator[str]:
     """Chunks worker, worker + workers, ... of _CHUNK_ROWS formatted records:
     joined in order, the bytes of joining every CSV record or of one json.dumps
-    over all records less its "]".  Only t and p are formatted per row."""
-    rows, energy = dynamics.sample_rows(cfg, _CHUNK_ROWS, worker, workers), cfg.energy
-    if fmt == "csv":
-        tail = f",{_fmt(cfg.q0)},{_fmt(energy)}\n"
-        while chunk := "".join([f"{t!r},{p!r}{tail}" for t, p in islice(rows, _CHUNK_ROWS)]):
+    over all records less its "[" and "]".  Only t and p are formatted per row."""
+    for start in range(worker * _CHUNK_ROWS, dynamics.sample_count(cfg), workers * _CHUNK_ROWS):
+        rows = islice(dynamics.sample_rows(cfg, start), _CHUNK_ROWS)
+        if fmt == "csv":
             # _fmt over the chunk at once: t and p are the only fields that
             # can end in ".0", and each is followed by a comma.
-            yield chunk.replace(".0,", ",")
-    else:
-        # json.dumps writes a finite float as its repr.
-        tail = f', "q": {cfg.q0!r}, "H": {energy!r}}}'
-        sep = "[" if worker == 0 else ", "
-        while chunk := ", ".join([f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in islice(rows, _CHUNK_ROWS)]):
-            yield sep + chunk
-            sep = ", "
+            tail = f",{_fmt(cfg.q0)},{_fmt(cfg.energy)}\n"
+            yield "".join([f"{t!r},{p!r}{tail}" for t, p in rows]).replace(".0,", ",")
+        else:  # json.dumps writes a finite float as its repr
+            tail = f', "q": {cfg.q0!r}, "H": {cfg.energy!r}}}'
+            yield ", " * bool(start) + ", ".join([f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in rows])
 
 
 def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: int) -> None:
@@ -151,7 +147,7 @@ def _write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: st
     same either way, and memory does not grow with the rows."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
-    fh.write("t,p,q,H\n" if fmt == "csv" else "")
+    fh.write("t,p,q,H\n" if fmt == "csv" else "[")
     try:
         fd = fh.fileno()
     except (AttributeError, io.UnsupportedOperation):

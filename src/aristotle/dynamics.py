@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import accumulate, repeat
 
 from .orbit import OrbitContext, OrbitPoint, OrbitTangent
 from .record import Record
@@ -27,8 +28,9 @@ INTEGRATORS = ("exact", "symplectic_euler")
 class SimulationConfig(Record):
     """Trajectory request: orbit parameters, initial point, grid, integrator.
 
-    Building one checks its whole run by its last sample: ValueError is raised
-    unless m*g, the sample count, every p and H are finite.
+    Building one checks its whole run by its last sample, read by index with
+    sample_rows: ValueError is raised unless m*g, the sample count, every p
+    and H are finite.
     """
 
     def __init__(self, m: float, g: float, p0: float, q0: float, t_max: float,
@@ -50,11 +52,10 @@ class SimulationConfig(Record):
                 f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}"
             )
         OrbitContext(m, g)  # m*g is checked before the sample count
-        n, final = _time_grid(t_max, dt)
         self.__dict__.update(m=m, g=g, p0=p0, q0=q0, t_max=t_max, dt=dt,
                              integrator=integrator)
         # Rounding is monotone, so every p lies between p0 and the last sample.
-        for _, p in sample_rows(self, 1, n + final):
+        for _, p in sample_rows(self, sample_count(self) - 1):
             OrbitPoint(p, q0)
         if not math.isfinite(self.energy):
             raise ValueError("non-finite energy H = m*g*q0")
@@ -125,30 +126,25 @@ def sample_count(cfg: SimulationConfig) -> int:
     return n + 1 + final
 
 
-def sample_rows(cfg: SimulationConfig, block: int = 0, first: int = 0,
-                every: int = 1) -> Iterator[tuple[float, float]]:
-    """(t, p) of the samples of cfg, final point included, all finite; given
-    a ``block`` size, only blocks first, first + every, ... of that many
-    samples.  An Euler block starts from its p found binade by binade, so each
-    p is the same float as in the whole run."""
+def sample_rows(cfg: SimulationConfig, start: int = 0) -> Iterator[tuple[float, float]]:
+    """(t, p) of the samples of cfg from index ``start`` on, final point
+    included, all finite: the floats of the whole run, where an Euler run
+    resumes from its p at ``start`` found binade by binade."""
     n, final = _time_grid(cfg.t_max, cfg.dt)
     drift = physical_drift(OrbitContext(cfg.m, cfg.g)).dp
-    p0, dt, t_max, step, block = cfg.p0, cfg.dt, cfg.t_max, drift * cfg.dt, block or n + 2
-    for start in range(first * block, n + 1 + final, every * block):
-        stop = min(start + block, n + 1)  # the grid points of this block end here
-        if cfg.integrator == "exact":
-            for k in range(start, stop):
-                t = k * dt
-                yield t, p0 + drift * t  # evolve_exact, without a point per row
-            end = p0 + drift * t_max
-        else:
-            p = _euler_steps(p0, step, start)
-            for k in range(start, stop):
-                yield k * dt, p
-                p = p + step
-            end = _euler_steps(p0, step, n) + drift * (t_max - n * dt)  # a partial last step
-        if final and start + block > n + 1:
-            yield t_max, end
+    p0, dt, t_max, step = cfg.p0, cfg.dt, cfg.t_max, drift * cfg.dt
+    if cfg.integrator == "exact":
+        for k in range(start, n + 1):
+            t = k * dt
+            yield t, p0 + drift * t  # evolve_exact, without a point per row
+        end = p0 + drift * t_max
+    elif start <= n + final:  # not past the last sample
+        p = _euler_steps(p0, step, min(start, n))
+        for k, p in zip(range(start, n + 1), accumulate(repeat(step), initial=p)):
+            yield k * dt, p
+        end = p + drift * (t_max - n * dt)  # a partial last step from p at n*dt
+    if final and start <= n + 1:
+        yield t_max, end
 
 
 def _euler_steps(p: float, s: float, k: int) -> float:

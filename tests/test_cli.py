@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from aristotle import cli
+from aristotle import cli, dynamics
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
 # 1e5 rows: 25 chunks, and more than a pipe buffer holds.
@@ -136,6 +136,33 @@ class TestSimulate:
             assert code == 0
             assert target.stat().st_size > 4_000_000
             assert peak < 4_000_000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunks_deal_out_the_whole_run(self, monkeypatch, fmt):
+        # Whole and fractional horizons of 0-11 steps, cut into chunks of 1-4
+        # rows dealt to 1-4 workers: a chunk may hold only the final sample,
+        # and a worker may get none.  Interleaved in chunk order, the chunks
+        # are every CSV record, or one json.dumps over all records less its
+        # "[" and "]".
+        for steps in range(12):
+            for extra in (0.0, 0.4):
+                t_max = (steps + extra) * 0.3 if steps else 0.0
+                for integrator in dynamics.INTEGRATORS:
+                    cfg = dynamics.SimulationConfig(m=1.7, g=-9.81, p0=-3.25, q0=0.5, t_max=t_max,
+                                                    dt=0.3, integrator=integrator)
+                    samples = [(s.t, s.p, s.q, s.H) for s in dynamics.simulate(cfg)]
+                    whole = ("".join(",".join(map(cli._fmt, s)) + "\n" for s in samples)
+                             if fmt == "csv" else
+                             json.dumps([dict(zip("tpqH", s)) for s in samples])[1:-1])
+                    for rows in range(1, 5):
+                        monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+                        for workers in range(1, 5):
+                            dealt = [list(cli._chunks(cfg, fmt, worker, workers))
+                                     for worker in range(workers)]
+                            count = sum(map(len, dealt))
+                            assert count == -(-dynamics.sample_count(cfg) // rows)
+                            assert "".join(dealt[i % workers][i // workers]
+                                           for i in range(count)) == whole
 
     def test_worker_write_error_is_reported_once(self, tmp_path, capsys, monkeypatch, use_cpus):
         # Forked workers inherit this os.write, which fails each worker's
