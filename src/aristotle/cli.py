@@ -7,32 +7,27 @@ coordinates, ``act`` applies the group action to a chart point.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Numeric output uses the shortest round-trip representation so downstream
 tools can re-check identities bit for bit.
+
+Importing this module loads ``group`` and ``orbit`` only; ``simulate`` loads
+``dynamics`` and ``write`` when it runs, and ``verify`` the suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import math
 import os
 import sys
-from collections.abc import Iterator
-from itertools import islice
 
-from . import dynamics, group, orbit
+from . import group, orbit
 
 
 def __getattr__(name: str):
-    """`cli.verify`, imported on first use: only `aristotle verify` runs the suite."""
-    if name != "verify":
+    """`cli.dynamics` and `cli.verify`, each imported on first use."""
+    if name not in ("dynamics", "verify"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-    return verify
-
-
-# Rows formatted and written per write call by `simulate`.
-_CHUNK_ROWS = 4096
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]
 
 
 def _finite(text: str) -> float:
@@ -80,90 +75,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
-            workers: int = 1) -> Iterator[str]:
-    """Chunks worker, worker + workers, ... of _CHUNK_ROWS formatted records:
-    joined in order, the bytes of joining every CSV record or of one json.dumps
-    over all records less its "[" and "]".  Only t and p are formatted per row."""
-    for start in range(worker * _CHUNK_ROWS, dynamics.sample_count(cfg), workers * _CHUNK_ROWS):
-        rows = islice(dynamics.sample_rows(cfg, start), _CHUNK_ROWS)
-        if fmt == "csv":
-            # _fmt over the chunk at once: t and p are the only fields that
-            # can end in ".0", and each is followed by a comma.
-            tail = f",{_fmt(cfg.q0)},{_fmt(cfg.energy)}\n"
-            yield "".join([f"{t!r},{p!r}{tail}" for t, p in rows]).replace(".0,", ",")
-        else:  # json.dumps writes a finite float as its repr
-            tail = f', "q": {cfg.q0!r}, "H": {cfg.energy!r}}}'
-            yield ", " * bool(start) + ", ".join([f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in rows])
-
-
-def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: int) -> None:
-    """Write the chunks of all workers to fd in order, each worker forked.
-
-    A ring of pipes passes one turn token, so the workers write in turn through
-    the shared file offset.  A worker that fails exits with its errno, raised
-    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the rest."""
-    ring = [os.pipe() for _ in range(workers)]
-    os.write(ring[0][1], b".")
-    pids = []
-    try:
-        for worker in range(workers):
-            if pid := os.fork():
-                pids.append(pid)
-                continue
-            turn, next_turn = ring[worker][0], ring[(worker + 1) % workers][1]
-            code = 255  # not an errno: an exception other than OSError
-            try:
-                for end in {*sum(ring, ())} - {turn, next_turn}:
-                    os.close(end)  # so each pipe has one writer, whose exit closes it
-                for chunk in _chunks(cfg, fmt, worker, workers):
-                    data = memoryview(chunk.encode())
-                    if not os.read(turn, 1):
-                        break  # an earlier worker failed
-                    while data:
-                        data = data[os.write(fd, data):]
-                    with contextlib.suppress(BrokenPipeError):  # the next worker is done or failed
-                        os.write(next_turn, b".")
-                code = 0
-            except OSError as err:
-                code = err.errno
-            except BaseException:
-                sys.excepthook(*sys.exc_info())
-            finally:
-                os._exit(code)  # never the caller's return path, atexit or stdio flush
-    finally:  # also when a fork fails: the workers started see the ring close
-        for end in sum(ring, ()):
-            os.close(end)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if code := next(filter(None, codes), 0):
-        raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")
-
-
-def _write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str) -> None:
-    """Write the samples of cfg, all finite, to fh.
-
-    Forked workers format the rows on every CPU the process may use, unless
-    there is one CPU, one chunk, no descriptor or no fork; the bytes are the
-    same either way, and memory does not grow with the rows."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
-    fh.write("t,p,q,H\n" if fmt == "csv" else "[")
-    try:
-        fd = fh.fileno()
-    except (AttributeError, io.UnsupportedOperation):
-        workers = 1
-    if workers > 1 and hasattr(os, "fork"):
-        fh.flush()
-        _write_forked(fd, cfg, fmt, workers)
-    else:
-        for chunk in _chunks(cfg, fmt):
-            fh.write(chunk)
-    fh.write("]\n" if fmt == "json" else "")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        cfg = dynamics.SimulationConfig(
+        # Through the module attribute, so a `cli.dynamics` set from outside is used.
+        cfg = sys.modules[__name__].dynamics.SimulationConfig(
             m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
             t_max=args.t_max, dt=args.dt, integrator=args.integrator,
         )
@@ -171,12 +86,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # The config checks its whole run, before anything is written.
         return _fail(str(err))
 
+    from .write import write_trajectory
     if args.out is None:
-        _write_trajectory(sys.stdout, cfg, args.format)
+        write_trajectory(sys.stdout, cfg, args.format)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_trajectory(fh, cfg, args.format)
+            write_trajectory(fh, cfg, args.format)
     except OSError as err:
         return _fail(f"cannot write {args.out!r}: {err}")
     return 0
@@ -222,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample a trajectory to CSV or JSON")
     _numbers(p_sim, "--mass", "--g", "--p0", "--q0", "--t-max", "--dt")
-    p_sim.add_argument("--integrator", choices=dynamics.INTEGRATORS, default="exact")
+    # dynamics.INTEGRATORS, spelled out so that the parser loads no dynamics.
+    p_sim.add_argument("--integrator", choices=("exact", "symplectic_euler"), default="exact")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", default=None, help="output path (default: stdout)")
     p_sim.set_defaults(func=cmd_simulate)

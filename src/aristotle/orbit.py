@@ -17,14 +17,17 @@ Sign conventions, fixed once and tested rather than left implicit:
   observable f.a_p*h.a_q - h.a_p*f.a_q;
 * under these choices the momentum map (P -> p, E -> -m*g*q, M -> m) is an
   anti-homomorphism: {map(P), map(E)} = -g*m = -map([P, E]).
+
+``algebra`` is not imported: ``AlgebraElement`` appears only in annotations,
+which are not evaluated, and the adjoint actions return ``type(x)``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from . import group
-from .algebra import AlgebraElement
 from .group import BaseElement
 from .record import Record
 
@@ -66,6 +69,9 @@ class OrbitContext(Record):
         # An overflowed m*g would make every chart q = -e/(m*g) read as zero.
         if math.isinf(m * g):
             raise ValueError("non-finite orbit parameter product m*g")
+        # A subnormal m*g has under 53 significant bits: off by up to a factor of 2.
+        if abs(m * g) < sys.float_info.min:
+            raise ValueError("subnormal orbit parameter product m*g")
         self.__dict__.update(m=m, g=g)
 
 
@@ -116,7 +122,7 @@ def coadjoint_act(g: float, a: BaseElement, f: CoadjointPoint) -> CoadjointPoint
 
 def adjoint_act(g: float, a: BaseElement, x: AlgebraElement) -> AlgebraElement:
     """Conjugation of the algebra by the lift of a, in closed form."""
-    return AlgebraElement(x.c_P, x.c_E, x.c_M + g * (a.h * x.c_E - a.t * x.c_P))
+    return type(x)(x.c_P, x.c_E, x.c_M + g * (a.h * x.c_E - a.t * x.c_P))
 
 
 def adjoint_act_via_conjugation(g: float, a: BaseElement, x: AlgebraElement) -> AlgebraElement:
@@ -130,7 +136,7 @@ def adjoint_act_via_conjugation(g: float, a: BaseElement, x: AlgebraElement) -> 
     """
     lift = group.ExtendedElement(x.c_M, x.c_E, x.c_P)
     conjugated = group.conjugate_extended(g, group.ExtendedElement(0.0, a.t, a.h), lift)
-    return AlgebraElement(conjugated.h, conjugated.t, conjugated.xi)
+    return type(x)(conjugated.h, conjugated.t, conjugated.xi)
 
 
 def to_chart(ctx: OrbitContext, f: CoadjointPoint) -> OrbitPoint:

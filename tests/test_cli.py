@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from aristotle import cli, dynamics
+from aristotle import cli, dynamics, write
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
 # 1e5 rows: 25 chunks, and more than a pipe buffer holds.
@@ -155,9 +155,9 @@ class TestSimulate:
                              if fmt == "csv" else
                              json.dumps([dict(zip("tpqH", s)) for s in samples])[1:-1])
                     for rows in range(1, 5):
-                        monkeypatch.setattr(cli, "_CHUNK_ROWS", rows)
+                        monkeypatch.setattr(write, "_CHUNK_ROWS", rows)
                         for workers in range(1, 5):
-                            dealt = [list(cli._chunks(cfg, fmt, worker, workers))
+                            dealt = [list(write._chunks(cfg, fmt, worker, workers))
                                      for worker in range(workers)]
                             count = sum(map(len, dealt))
                             assert count == -(-dynamics.sample_count(cfg) // rows)
@@ -249,6 +249,25 @@ def test_overflowing_orbit_product_is_input_error(argv, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "m*g" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "1e-300", "--g", "7e-24", "--e=-1e-300", "--p", "0"],
+    ["act", "--mass", "1e-300", "--g", "7e-24", "--t", "1", "--h", "1", "--p", "0", "--q", "0"],
+    ["simulate", "--mass", "1e-300", "--g", "7e-24", "--p0", "0", "--q0", "1e23",
+     "--t-max", "1e23", "--dt", "1e23"],
+])
+def test_subnormal_orbit_product_is_input_error(argv, capsys):
+    # m*g is about 7.0e-324 and rounds to 4.9e-324: orbit would print q 42% too
+    # large, and simulate H 29% too small.
+    code, out, err = run_main(argv, capsys)
+    assert (code, out, err) == (2, "", "error: subnormal orbit parameter product m*g\n")
+
+
+def test_integrator_choices_are_the_dynamics_integrators(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert "--integrator {" + ",".join(dynamics.INTEGRATORS) + "}" in capsys.readouterr().out
 
 
 class TestAct:
@@ -352,8 +371,8 @@ class TestSubprocess:
         # -S: a .pth file run by `site` could import these itself.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.cli\n"
-                "print(sorted({'aristotle.verify', 'dataclasses', 'inspect', 'typing'}"
-                " & set(sys.modules)))")
+                "print(sorted({'aristotle.verify', 'aristotle.dynamics', 'aristotle.algebra',"
+                " 'aristotle.write', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -361,6 +380,27 @@ class TestSubprocess:
         code = ("import sys, aristotle.cli as cli\n"
                 "assert 'aristotle.verify' not in sys.modules\n"
                 "assert cli.verify is sys.modules['aristotle.verify']\n"
+                "assert not hasattr(cli, 'no_such_name')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.orbit\n"
+                "print('aristotle.algebra' in sys.modules)\n"
+                "from aristotle import cli\n"
+                "cli.main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31'])\n"
+                "cli.main(['act', '--mass', '5', '--g', '2', '--t', '3', '--h', '4',"
+                " '--p', '1', '--q', '2'])\n"
+                "print(sorted({'aristotle.algebra', 'aristotle.dynamics'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "False\np=31 q=3\np=31 q=6\n[]\n", "")
+
+    def test_dynamics_is_loaded_as_the_attribute_cli_dynamics(self):
+        code = ("import sys, aristotle.cli as cli\n"
+                "assert 'aristotle.dynamics' not in sys.modules\n"
+                "assert cli.dynamics is sys.modules['aristotle.dynamics']\n"
                 "assert not hasattr(cli, 'no_such_name')\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")

@@ -172,6 +172,14 @@ class TestChart:
         with pytest.raises(ValueError, match=r"m\*g"):
             OrbitContext(1e200, 1e200)
 
+    def test_subnormal_product_is_rejected(self):
+        # m and g nonzero but m*g subnormal: it carries under 53 significant
+        # bits, so q = -e/(m*g) could be off by up to a factor of 2.
+        for m, g in ((1e-300, 7e-24), (1e-154, -1e-154), (-5e-324, 1.0)):
+            with pytest.raises(ValueError, match=r"subnormal orbit parameter product m\*g"):
+                OrbitContext(m, g)
+        assert OrbitContext(2.2250738585072014e-308, -1.0).g == -1.0  # the least normal product
+
     def test_mass_mismatch(self):
         ctx = OrbitContext(5.0, 2.0)
         with pytest.raises(OrbitMismatchError):
