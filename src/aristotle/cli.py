@@ -9,17 +9,21 @@ Numeric output uses the shortest round-trip representation so downstream
 tools can re-check identities bit for bit.
 
 Importing this module loads ``group`` and ``orbit`` only; ``simulate`` loads
-``dynamics`` and ``write`` when it runs, and ``verify`` the suite.
+``dynamics`` and ``write`` when it runs, and ``verify`` the suite.  Only
+command lines other than a well-formed ``orbit``/``act`` call load argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 from . import group, orbit
+
+_POINT_FLAGS = {"orbit": ("--m", "--g", "--e", "--p"),  # required finite flags, in order
+                "act": ("--mass", "--g", "--t", "--h", "--p", "--q")}
 
 
 def __getattr__(name: str):
@@ -31,6 +35,7 @@ def __getattr__(name: str):
 
 
 def _finite(text: str) -> float:
+    import argparse
     try:
         value = float(text)
     except ValueError:
@@ -121,6 +126,7 @@ def cmd_act(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="aristotle",
         description="Coadjoint-orbit mechanics of the extended static group.",
@@ -145,18 +151,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_orbit = sub.add_parser("orbit", help="map a dual point to chart coordinates")
-    _numbers(p_orbit, "--m", "--g", "--e", "--p")
+    _numbers(p_orbit, *_POINT_FLAGS["orbit"])
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_act = sub.add_parser("act", help="apply a translation to a chart point")
-    _numbers(p_act, "--mass", "--g", "--t", "--h", "--p", "--q")
+    _numbers(p_act, *_POINT_FLAGS["act"])
     p_act.set_defaults(func=cmd_act)
 
     return parser
 
 
+def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
+    """An ``orbit``/``act`` call as argparse reads it, or None unless each flag
+    appears once by its exact name, as ``--flag=value`` or as ``--flag value``
+    with no leading "-" (read differently by argparse versions), all finite."""
+    flags = _POINT_FLAGS.get(argv[0] if argv else None)
+    if flags is None:
+        return None
+    values, tokens = {}, iter(argv[1:])
+    try:
+        for token in tokens:
+            name, eq, text = token.partition("=")
+            text = text if eq else next(tokens, "-")
+            if name not in flags or name in values or not eq and text.startswith("-"):
+                return None
+            values[name] = float(text)
+    except ValueError:
+        return None
+    if len(values) < len(flags) or not all(map(math.isfinite, values.values())):
+        return None
+    # The handler looked up now, as the parser does when built: a patched one is used.
+    return types.SimpleNamespace(subcommand=argv[0], func=globals()[f"cmd_{argv[0]}"],
+                                 **{name[2:]: value for name, value in values.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _point_query(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aristotle import cli, dynamics, write
 
@@ -16,6 +19,7 @@ SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5",
 LONG_SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "1e-4", "--t-max", "10"]
 ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def run_main(argv, capsys):
@@ -303,6 +307,81 @@ class TestAct:
         assert "degenerate orbit" in err
 
 
+POINT_FLAG_NAMES = sorted({name for flags in cli._POINT_FLAGS.values() for name in flags})
+ODD_TOKENS = ["-h", "--help", "--", "-", "=", "", "nan", "-nan", "inf", "1e400", "-1e400",
+              "1=2", "-30", "-0", " 7", "1_0", "x", "orbit", "act"]
+# Every prefix of a flag name: "-", "--", abbreviations, and "--m" inside "--mass".
+FLAG_PREFIXES = st.sampled_from(POINT_FLAG_NAMES).flatmap(
+    lambda name: st.sampled_from([name[:k] for k in range(1, len(name) + 1)]))
+STRAY_TOKENS = (FLAG_PREFIXES | st.sampled_from(ODD_TOKENS)
+                | st.tuples(FLAG_PREFIXES, st.sampled_from(ODD_TOKENS)).map("=".join))
+
+
+@st.composite
+def point_argvs(draw):
+    """A well-formed `orbit`/`act` command line, in both flag forms, with up to
+    three tokens then inserted (stray, or a duplicate of one there) or dropped."""
+    command = draw(st.sampled_from(sorted(cli._POINT_FLAGS)))
+    argv = [command]
+    for name in draw(st.permutations(cli._POINT_FLAGS[command])):
+        value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for _ in range(draw(st.integers(0, 3))):
+        if argv and draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(STRAY_TOKENS | st.sampled_from(argv)))
+    return argv
+
+
+def _fields(args):
+    """A namespace's fields by repr, which tells -0.0 from 0.0 and names the handler."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+class TestPointQuery:
+    """`main` reads a well-formed `orbit`/`act` call without argparse; what it
+    accepts, argparse must read the same way."""
+
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(point_argvs())
+    def test_accepted_calls_are_read_as_argparse_reads_them(self, argv):
+        args = cli._point_query(argv)
+        if args is not None:
+            assert _fields(args) == _fields(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"],  # separate negative value
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p=31", "--p=31"],  # duplicate
+        ["orbit", "--m=5", "--g=2", "--e=-30"],  # missing flag
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p=31", "x"],  # stray token
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p=31", "--"],
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p=inf"],
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p", "1e400"],
+        ["orbit", "--m=5", "--g=2", "--e=-30", "--p=1=2"],
+        ["orbit", "-h"],
+        ["act", "--ma=5", "--g=2", "--t=3", "--h=4", "--p=1", "--q=2"],  # abbreviation
+        ["act", "--m=5", "--g=2", "--t=3", "--h=4", "--p=1", "--q=2"],
+        ["simulate", "--mass=5"],
+        [],
+    ])
+    def test_other_command_lines_are_left_to_argparse(self, argv):
+        assert cli._point_query(argv) is None
+
+    def test_benchmark_point_queries_are_accepted(self, monkeypatch):
+        monkeypatch.syspath_prepend(PERFBENCH)
+        from workloads import point_calls
+        for seed in (1, 2):
+            for call in islice(point_calls(seed), 100):
+                args = cli._point_query(list(call.args))
+                assert args is not None, call.args
+                assert _fields(args) == _fields(cli.build_parser().parse_args(list(call.args)))
+
+    def test_handlers_are_looked_up_when_called(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_orbit", lambda args: 7)
+        assert cli.main(["orbit", "--m=5", "--g=2", "--e=-30", "--p=31"]) == 7
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_main(["verify", "--seed", "42", "--cases", "25"], capsys)
@@ -396,6 +475,30 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "False\np=31 q=3\np=31 q=6\n[]\n", "")
+
+    def test_point_queries_load_no_argparse(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
+                "cli.main(['orbit', '--m=5', '--g=2', '--e=-30', '--p=31'])\n"
+                "cli.main(['act', '--mass=5', '--g=2', '--t=3', '--h=4', '--p=1', '--q=2'])\n"
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p=31 q=3\np=31 q=6\n[]\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"],
+        ["orbit", "--help"],
+        ["act", "--ma=5", "--g=2", "--t=3", "--h=4", "--p=1", "--q=2"],
+    ], ids=["separate-negative", "help", "abbreviation"])
+    def test_other_command_lines_print_what_argparse_prints(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        head = f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
+        main = head + "code = cli.main(sys.argv[1:]); assert 'argparse' in sys.modules; sys.exit(code)"
+        reference = head + "args = cli.build_parser().parse_args(sys.argv[1:]); sys.exit(args.func(args))"
+        got, expected = (subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True)
+                         for code in (main, reference))
+        assert (got.returncode, got.stdout, got.stderr) == (
+            expected.returncode, expected.stdout, expected.stderr)
 
     def test_dynamics_is_loaded_as_the_attribute_cli_dynamics(self):
         code = ("import sys, aristotle.cli as cli\n"

@@ -41,6 +41,8 @@ def test_layers_run_against_the_package(layers, tmp_path):
     _, problems = layers.run_pass(pkg, calls, str(tmp_path), tracer)
     assert problems == []
     assert tracer.total_ns("cli.cmd_simulate") > 0
+    assert tracer.total_ns("cli.cmd_orbit") > 0
+    assert tracer.total_ns("cli.cmd_act") > 0
 
 
 def test_traced_verify_call_reaches_the_patched_cli_verify(layers, tmp_path):
