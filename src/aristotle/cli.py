@@ -187,9 +187,12 @@ def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _point_query(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
+    if sys.stdout is None and getattr(args, "out", None) is None:  # descriptor 1 closed at start
+        return _fail("cannot write stdout: it is closed")  # print would drop the output
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:  # only `simulate --out` runs without one
+            sys.stdout.flush()
     except OSError as err:  # writing stdout; the handlers catch their other errors
         # Point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -66,13 +66,6 @@ class SimulationConfig(Record):
         return hamiltonian(OrbitContext(self.m, self.g), OrbitPoint(self.p0, self.q0))
 
 
-class TrajectorySample(Record):
-    """One trajectory record; H is m*g*q for the producing configuration."""
-
-    def __init__(self, t: float, p: float, q: float, H: float) -> None:
-        self.__dict__.update(t=t, p=p, q=q, H=H)
-
-
 def hamiltonian(ctx: OrbitContext, pt: OrbitPoint) -> float:
     """Full Hamiltonian m*g*q: gravitational potential energy, no kinetic term."""
     return ctx.m * ctx.g * pt.q
@@ -169,8 +162,6 @@ def _euler_steps(p: float, s: float, k: int) -> float:
     return p
 
 
-def simulate(cfg: SimulationConfig) -> list[TrajectorySample]:
-    """Sample the trajectory on the configured grid, final point included,
-    as a list."""
-    energy = cfg.energy
-    return [TrajectorySample(t, p, cfg.q0, energy) for t, p in sample_rows(cfg)]
+def simulate(cfg: SimulationConfig) -> list[tuple[float, float]]:
+    """The (t, p) rows of the whole run as a list: list(sample_rows(cfg))."""
+    return list(sample_rows(cfg))

@@ -60,17 +60,17 @@ class OrbitContext(Record):
         if not (math.isfinite(m) and math.isfinite(g)):
             raise ValueError("non-finite orbit parameter")
         # The chart divides by m*g, so the product must survive in double
-        # precision too (it can underflow to zero for nonzero factors).
-        if m == 0.0 or g == 0.0 or m * g == 0.0:
+        # precision: it is zero when m or g is, and can underflow to zero.
+        if (mg := m * g) == 0.0:
             raise DegenerateOrbitError(
                 "degenerate orbit: m and g must both be nonzero "
                 "for the chart q = -e/(m*g)"
             )
         # An overflowed m*g would make every chart q = -e/(m*g) read as zero.
-        if math.isinf(m * g):
+        if math.isinf(mg):
             raise ValueError("non-finite orbit parameter product m*g")
         # A subnormal m*g has under 53 significant bits: off by up to a factor of 2.
-        if abs(m * g) < sys.float_info.min:
+        if abs(mg) < sys.float_info.min:
             raise ValueError("subnormal orbit parameter product m*g")
         self.__dict__.update(m=m, g=g)
 

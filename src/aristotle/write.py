@@ -9,7 +9,6 @@ from collections.abc import Iterator
 from itertools import islice
 
 from . import dynamics
-from .cli import _fmt
 
 # Rows formatted and written per write call.
 _CHUNK_ROWS = 4096
@@ -23,9 +22,9 @@ def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
     for start in range(worker * _CHUNK_ROWS, dynamics.sample_count(cfg), workers * _CHUNK_ROWS):
         rows = islice(dynamics.sample_rows(cfg, start), _CHUNK_ROWS)
         if fmt == "csv":
-            # _fmt over the chunk at once: t and p are the only fields that
-            # can end in ".0", and each is followed by a comma.
-            tail = f",{_fmt(cfg.q0)},{_fmt(cfg.energy)}\n"
+            # cli._fmt's rule over the chunk at once: a repr holds no comma or
+            # newline, so ".0," and ".0\n" end one.  Only H precedes the newline.
+            tail = f",{cfg.q0!r},{cfg.energy!r}\n".replace(".0\n", "\n")
             yield "".join([f"{t!r},{p!r}{tail}" for t, p in rows]).replace(".0,", ",")
         else:  # json.dumps writes a finite float as its repr
             tail = f', "q": {cfg.q0!r}, "H": {cfg.energy!r}}}'

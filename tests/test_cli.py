@@ -154,7 +154,7 @@ class TestSimulate:
                 for integrator in dynamics.INTEGRATORS:
                     cfg = dynamics.SimulationConfig(m=1.7, g=-9.81, p0=-3.25, q0=0.5, t_max=t_max,
                                                     dt=0.3, integrator=integrator)
-                    samples = [(s.t, s.p, s.q, s.H) for s in dynamics.simulate(cfg)]
+                    samples = [(t, p, cfg.q0, cfg.energy) for t, p in dynamics.sample_rows(cfg)]
                     whole = ("".join(",".join(map(cli._fmt, s)) + "\n" for s in samples)
                              if fmt == "csv" else
                              json.dumps([dict(zip("tpqH", s)) for s in samples])[1:-1])
@@ -455,6 +455,13 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_writer_does_not_load_cli(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.write\n"
+                "print('aristotle.cli' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_verify_is_loaded_as_the_attribute_cli_verify(self):
         code = ("import sys, aristotle.cli as cli\n"
                 "assert 'aristotle.verify' not in sys.modules\n"
@@ -555,3 +562,36 @@ def test_stdout_write_error_is_input_error(cli_command, argv, cpus):
                                   env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
                                   text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {ENOSPC}\n")
+
+
+def closed_stdout(command):
+    """The command run by a shell that starts it with descriptor 1 closed, so
+    its interpreter has no sys.stdout."""
+    return ["sh", "-c", '"$@" >&-', "sh", *command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "5", "--g", "2", "--e=-30", "--p", "31"],
+    ["orbit", "--m", "0", "--g", "2", "--e=-30", "--p", "31"],
+    ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"],
+    ["verify", "--cases", "2"],
+    ["simulate", *SIM_FLAGS],
+], ids=["orbit", "orbit-degenerate", "act", "verify", "simulate"])
+def test_closed_stdout_is_input_error(cli_command, argv):
+    proc = subprocess.run(closed_stdout(cli_command(argv, 2)), stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.parametrize("flags", [SIM_FLAGS, LONG_SIM_FLAGS], ids=["one-chunk", "chunks"])
+def test_closed_stdout_does_not_stop_out(cli_command, tmp_path, flags):
+    # The file may be opened as descriptor 1; the forked workers write it all the same.
+    for cpus in (1, 2):
+        written = []
+        for command in (cli_command, lambda *a: closed_stdout(cli_command(*a))):
+            out = tmp_path / f"{len(written)}.csv"
+            proc = subprocess.run(command(["simulate", *flags, "--out", str(out)], cpus),
+                                  capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+            written.append(out.read_bytes())
+        assert written[0] == written[1]

@@ -12,7 +12,6 @@ import pytest
 
 from aristotle.dynamics import (
     SimulationConfig,
-    TrajectorySample,
     _euler_steps,
     _time_grid,
     evolve_exact,
@@ -114,8 +113,9 @@ class TestSimulate:
         cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
         samples = simulate(cfg)
         assert len(samples) == 9
-        assert samples[0] == TrajectorySample(0.0, 1.0, 5.0, 30.0)
-        assert samples[-1] == TrajectorySample(4.0, 25.0, 5.0, 30.0)
+        assert samples[0] == (0.0, 1.0)
+        assert samples[-1] == (4.0, 25.0)
+        assert (cfg.q0, cfg.energy) == (5.0, 30.0)
 
     def test_euler_matches_exact_here(self):
         # Constant drift: first-order stepping telescopes to the closed form.
@@ -123,27 +123,25 @@ class TestSimulate:
         exact = simulate(SimulationConfig(**base, integrator="exact"))
         euler = simulate(SimulationConfig(**base, integrator="symplectic_euler"))
         assert len(exact) == len(euler)
-        for se, sy in zip(exact, euler):
-            assert se.t == sy.t
-            assert abs(se.p - sy.p) <= 1e-9
-            assert se.q == sy.q
-            assert abs(se.H - sy.H) <= 1e-9
+        for (te, pe), (ty, py) in zip(exact, euler):
+            assert te == ty
+            assert abs(pe - py) <= 1e-9
 
     def test_zero_horizon(self):
         cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=0.0, dt=0.5)
-        assert simulate(cfg) == [TrajectorySample(0.0, 1.0, 5.0, 30.0)]
+        assert simulate(cfg) == [(0.0, 1.0)]
 
     def test_fractional_horizon_appends_exact_final_sample(self):
         cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1.0, dt=0.3)
         samples = simulate(cfg)
         # floor(1.0/0.3) = 3 grid points after zero, plus the appended final.
         assert len(samples) == 5
-        assert samples[-1].t == 1.0
-        assert samples[-1].p == pytest.approx(7.0, abs=1e-12)
+        assert samples[-1][0] == 1.0
+        assert samples[-1][1] == pytest.approx(7.0, abs=1e-12)
         euler = simulate(SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1.0,
                                           dt=0.3, integrator="symplectic_euler"))
-        assert euler[-1].t == 1.0
-        assert euler[-1].p == pytest.approx(7.0, abs=1e-12)
+        assert euler[-1][0] == 1.0
+        assert euler[-1][1] == pytest.approx(7.0, abs=1e-12)
 
     def test_position_and_energy_frozen(self):
         rng = random.Random(21)
@@ -159,17 +157,22 @@ class TestSimulate:
                     dt=dt,
                     integrator=integrator,
                 )
-                samples = simulate(cfg)
-                assert all(s.q == cfg.q0 for s in samples)
-                # H evaluated at each sampled (p, q), not the H field the sampler copies.
+                # q stays q0, so H is evaluated at each sampled (p, q0) and
+                # must equal the configuration's energy.
                 ctx = OrbitContext(cfg.m, cfg.g)
-                energies = [hamiltonian(ctx, OrbitPoint(s.p, s.q)) for s in samples]
-                assert all(h == energies[0] for h in energies)
+                energies = [hamiltonian(ctx, OrbitPoint(p, cfg.q0)) for _, p in simulate(cfg)]
+                assert all(h == cfg.energy for h in energies)
 
     def test_momentum_linear_in_time(self):
         cfg = SimulationConfig(m=5.0, g=9.81, p0=-2.0, q0=1.0, t_max=10.0, dt=0.25)
-        for s in simulate(cfg):
-            assert s.p - cfg.p0 == pytest.approx(cfg.m * cfg.g * s.t, abs=1e-12, rel=1e-12)
+        for t, p in simulate(cfg):
+            assert p - cfg.p0 == pytest.approx(cfg.m * cfg.g * t, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
+    def test_is_the_list_of_sample_rows(self, integrator):
+        cfg = SimulationConfig(m=1.7, g=-9.81, p0=-3.25, q0=0.5, t_max=3.42, dt=0.3,
+                               integrator=integrator)
+        assert repr(simulate(cfg)) == repr(list(sample_rows(cfg)))
 
 
 class TestTrajectory:
@@ -336,7 +339,7 @@ def _extreme_euler_configs(rng, count):
             yield values
 
 
-class TestEulerStepBound:
+class TestEulerRunDecisions:
     def test_decisions_match_the_summed_run(self):
         rng = random.Random(7)
         refused = accepted = 0

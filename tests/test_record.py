@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from aristotle.algebra import AlgebraElement, Dimension
-from aristotle.dynamics import SimulationConfig, TrajectorySample
+from aristotle.dynamics import SimulationConfig
 from aristotle.group import BaseElement, ExtendedElement
 from aristotle.orbit import (
     AffineObservable,
@@ -36,7 +36,6 @@ RECORDS = [
     (OrbitTangent, (-10.0, 0.0), ("dp", "dq"), "non-finite tangent component"),
     (SimulationConfig, (2.0, 3.0, 1.0, 5.0, 4.0, 0.5, "symplectic_euler"),
      ("m", "g", "p0", "q0", "t_max", "dt", "integrator"), "non-finite configuration value {}"),
-    (TrajectorySample, (0.5, 4.0, 5.0, 30.0), ("t", "p", "q", "H"), None),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
