@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_finite, default=None,
         help="tolerance for the 1e-9 numerical class (pinned classes unaffected)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="sample a trajectory to CSV or JSON")
     _numbers(p_sim, "--mass", "--g", "--p0", "--q0", "--t-max", "--dt")
@@ -148,15 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--integrator", choices=("exact", "symplectic_euler"), default="exact")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--out", default=None, help="output path (default: stdout)")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_orbit = sub.add_parser("orbit", help="map a dual point to chart coordinates")
-    _numbers(p_orbit, *_POINT_FLAGS["orbit"])
-    p_orbit.set_defaults(func=cmd_orbit)
-
-    p_act = sub.add_parser("act", help="apply a translation to a chart point")
-    _numbers(p_act, *_POINT_FLAGS["act"])
-    p_act.set_defaults(func=cmd_act)
+    _numbers(sub.add_parser("orbit", help="map a dual point to chart coordinates"),
+             *_POINT_FLAGS["orbit"])
+    _numbers(sub.add_parser("act", help="apply a translation to a chart point"),
+             *_POINT_FLAGS["act"])
 
     return parser
 
@@ -180,8 +175,7 @@ def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
         return None
     if len(values) < len(flags) or not all(map(math.isfinite, values.values())):
         return None
-    # The handler looked up now, as the parser does when built: a patched one is used.
-    return types.SimpleNamespace(subcommand=argv[0], func=globals()[f"cmd_{argv[0]}"],
+    return types.SimpleNamespace(subcommand=argv[0],
                                  **{name[2:]: value for name, value in values.items()})
 
 
@@ -190,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None and getattr(args, "out", None) is None:  # descriptor 1 closed at start
         return _fail("cannot write stdout: it is closed")  # print would drop the output
     try:
-        code = args.func(args)
+        # The handler looked up now, so one patched on this module is run.
+        code = globals()[f"cmd_{args.subcommand}"](args)
         if sys.stdout is not None:  # only `simulate --out` runs without one
             sys.stdout.flush()
     except OSError as err:  # writing stdout; the handlers catch their other errors

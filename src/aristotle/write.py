@@ -12,6 +12,7 @@ from . import dynamics
 
 # Rows formatted and written per write call.
 _CHUNK_ROWS = 4096
+_ASCII = bytes(range(128))  # the workers write the output's characters as these bytes
 
 
 def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
@@ -77,16 +78,17 @@ def write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str
     """Write the samples of cfg, all finite, to fh.
 
     Forked workers format the rows on every CPU the process may use, unless
-    there is one CPU, one chunk, no descriptor or no fork; the bytes are the
-    same either way, and memory does not grow with the rows."""
+    there is one CPU, one chunk, no fork, or no descriptor encoding ASCII as
+    is: the same bytes either way, in memory that does not grow with the rows."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
     fh.write("t,p,q,H\n" if fmt == "csv" else "[")
     try:
         fd = fh.fileno()
+        encodes_ascii = _ASCII.decode().encode(fh.encoding, "replace") == _ASCII
     except (AttributeError, io.UnsupportedOperation):
-        workers = 1
-    if workers > 1 and hasattr(os, "fork"):
+        encodes_ascii = False
+    if workers > 1 and encodes_ascii and hasattr(os, "fork"):
         fh.flush()
         _write_forked(fd, cfg, fmt, workers)
     else:

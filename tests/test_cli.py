@@ -335,7 +335,7 @@ def point_argvs(draw):
 
 
 def _fields(args):
-    """A namespace's fields by repr, which tells -0.0 from 0.0 and names the handler."""
+    """A namespace's fields by repr, which tells -0.0 from 0.0."""
     return {name: repr(value) for name, value in vars(args).items()}
 
 
@@ -380,6 +380,13 @@ class TestPointQuery:
     def test_handlers_are_looked_up_when_called(self, monkeypatch):
         monkeypatch.setattr(cli, "cmd_orbit", lambda args: 7)
         assert cli.main(["orbit", "--m=5", "--g=2", "--e=-30", "--p=31"]) == 7
+
+
+@pytest.mark.parametrize("argv", [["verify", "--cases", "2"], ["simulate", *SIM_FLAGS]],
+                         ids=["verify", "simulate"])
+def test_argparse_handlers_are_looked_up_when_called(monkeypatch, argv):
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 7)
+    assert cli.main(argv) == 7
 
 
 class TestVerifyCommand:
@@ -433,6 +440,19 @@ class TestSubprocess:
             proc.stderr.close()
             assert proc.wait(timeout=60) == 0
             assert err == b""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_output_in_a_non_ascii_encoding(self, cli_command, fmt):
+        # UTF-16 writes ASCII as two bytes a character, so the rows are
+        # formatted in process whatever the CPU count.
+        args = ["simulate", *LONG_SIM_FLAGS, "--format", fmt]
+        env = {**os.environ, "PYTHONIOENCODING": "utf-16"}
+        one, two = (subprocess.run(cli_command(args, cpus), capture_output=True, env=env,
+                                   timeout=60) for cpus in (1, 2))
+        assert (one.returncode, one.stderr, two.returncode, two.stderr) == (0, b"", 0, b"")
+        assert two.stdout == one.stdout
+        plain = subprocess.run(cli_command(args, 2), capture_output=True, timeout=60)
+        assert one.stdout.decode("utf-16") == plain.stdout.decode()
 
     def test_verify_exit_status(self):
         proc = subprocess.run(
@@ -501,7 +521,8 @@ class TestSubprocess:
         src = os.path.dirname(os.path.dirname(cli.__file__))
         head = f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
         main = head + "code = cli.main(sys.argv[1:]); assert 'argparse' in sys.modules; sys.exit(code)"
-        reference = head + "args = cli.build_parser().parse_args(sys.argv[1:]); sys.exit(args.func(args))"
+        reference = head + ("args = cli.build_parser().parse_args(sys.argv[1:]); "
+                             "sys.exit(getattr(cli, f'cmd_{args.subcommand}')(args))")
         got, expected = (subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True)
                          for code in (main, reference))
         assert (got.returncode, got.stdout, got.stderr) == (
