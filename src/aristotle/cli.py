@@ -61,16 +61,11 @@ def _fmt(x: float) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.cases < 1:
-        return _fail("--cases must be >= 1")
+        raise ValueError("--cases must be >= 1")
     if args.tol is not None and args.tol <= 0.0:
-        return _fail("--tol must be positive")
+        raise ValueError("--tol must be positive")
     # Through the module attribute, so a `cli.verify` set from outside is used.
     results = sys.modules[__name__].verify.run_verify(args.seed, args.cases, args.tol)
     for r in results:
@@ -81,15 +76,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        # Through the module attribute, so a `cli.dynamics` set from outside is used.
-        cfg = sys.modules[__name__].dynamics.SimulationConfig(
-            m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
-            t_max=args.t_max, dt=args.dt, integrator=args.integrator,
-        )
-    except ValueError as err:
-        # The config checks its whole run, before anything is written.
-        return _fail(str(err))
+    # Through the module attribute, so a `cli.dynamics` set from outside is used.
+    # The config checks its whole run, before anything is written.
+    cfg = sys.modules[__name__].dynamics.SimulationConfig(
+        m=args.mass, g=args.g, p0=args.p0, q0=args.q0,
+        t_max=args.t_max, dt=args.dt, integrator=args.integrator,
+    )
 
     from .write import write_trajectory
     if args.out is None:
@@ -99,28 +91,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_trajectory(fh, cfg, args.format)
     except OSError as err:
-        return _fail(f"cannot write {args.out!r}: {err}")
+        raise ValueError(f"cannot write {args.out!r}: {err}") from err
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    try:
-        ctx = orbit.OrbitContext(args.m, args.g)
-        point = orbit.to_chart(ctx, orbit.CoadjointPoint(args.m, args.e, args.p))
-    except ValueError as err:  # degenerate orbit, or overflow to non-finite
-        return _fail(str(err))
+    ctx = orbit.OrbitContext(args.m, args.g)
+    point = orbit.to_chart(ctx, orbit.CoadjointPoint(args.m, args.e, args.p))
     print(f"p={_fmt(point.p)} q={_fmt(point.q)}")
     return 0
 
 
 def cmd_act(args: argparse.Namespace) -> int:
-    try:
-        ctx = orbit.OrbitContext(args.mass, args.g)
-        moved = orbit.canonical_act(
-            ctx, group.BaseElement(args.t, args.h), orbit.OrbitPoint(args.p, args.q)
-        )
-    except ValueError as err:
-        return _fail(str(err))
+    ctx = orbit.OrbitContext(args.mass, args.g)
+    moved = orbit.canonical_act(
+        ctx, group.BaseElement(args.t, args.h), orbit.OrbitPoint(args.p, args.q)
+    )
     print(f"p={_fmt(moved.p)} q={_fmt(moved.q)}")
     return 0
 
@@ -181,19 +167,28 @@ def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _point_query(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
-    if sys.stdout is None and getattr(args, "out", None) is None:  # descriptor 1 closed at start
-        return _fail("cannot write stdout: it is closed")  # print would drop the output
     try:
+        if sys.stdout is None and getattr(args, "out", None) is None:  # descriptor 1 closed
+            raise ValueError("cannot write stdout: it is closed")  # print would drop the output
         # The handler looked up now, so one patched on this module is run.
         code = globals()[f"cmd_{args.subcommand}"](args)
         if sys.stdout is not None:  # only `simulate --out` runs without one
             sys.stdout.flush()
-    except OSError as err:  # writing stdout; the handlers catch their other errors
+        return code
+    except ValueError as err:  # a refused input, raised before any output
+        message = str(err)
+    except OSError as err:  # writing stdout; `simulate --out` raises its own as ValueError
         # Point stdout at devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        # A reader that stopped early, as `| head` does, ends the run quietly.
-        return 0 if isinstance(err, BrokenPipeError) else _fail(f"cannot write stdout: {err}")
-    return code
+        if isinstance(err, BrokenPipeError):  # a reader that stopped early, as `| head` does
+            return 0
+        message = f"cannot write stdout: {err}"
+    try:  # an unwritable stderr loses the line, not the exit code
+        if sys.stderr is not None:  # else print would write to stdout
+            print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+    return 2
 
 
 if __name__ == "__main__":

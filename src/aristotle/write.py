@@ -4,6 +4,7 @@ JSON, formatted in forked workers.  Only ``simulate`` loads this module."""
 import contextlib
 import io
 import os
+import signal
 import sys
 from collections.abc import Iterator
 from itertools import islice
@@ -37,7 +38,9 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
 
     A ring of pipes passes one turn token, so the workers write in turn through
     the shared file offset.  A worker that fails exits with its errno, raised
-    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the rest."""
+    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the rest.
+    On Ctrl-C only this process reports; a worker stops once its parent is killed."""
+    parent = os.getpid()
     ring = [os.pipe() for _ in range(workers)]
     os.write(ring[0][1], b".")
     pids = []
@@ -49,12 +52,13 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
             turn, next_turn = ring[worker][0], ring[(worker + 1) % workers][1]
             code = 255  # not an errno: an exception other than OSError
             try:
+                signal.signal(signal.SIGINT, signal.SIG_DFL)
                 for end in {*sum(ring, ())} - {turn, next_turn}:
                     os.close(end)  # so each pipe has one writer, whose exit closes it
                 for chunk in _chunks(cfg, fmt, worker, workers):
                     data = memoryview(chunk.encode())
-                    if not os.read(turn, 1):
-                        break  # an earlier worker failed
+                    if not os.read(turn, 1) or os.getppid() != parent:
+                        break  # an earlier worker failed, or the parent was killed
                     while data:
                         data = data[os.write(fd, data):]
                     with contextlib.suppress(BrokenPipeError):  # the next worker is done or failed

@@ -1,10 +1,13 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import contextlib
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import islice
 
@@ -17,6 +20,9 @@ from aristotle import cli, dynamics, write
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
 # 1e5 rows: 25 chunks, and more than a pipe buffer holds.
 LONG_SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "1e-4", "--t-max", "10"]
+# 1e8 rows, about 2 GB of CSV: a run that is still going when it is interrupted.
+ENDLESS_SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "1e-6",
+                     "--t-max", "100"]
 ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -71,10 +77,11 @@ class TestSimulate:
         assert target.read_text().splitlines()[-1] == "4,25,5,30"
 
     def test_unwritable_path(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "trajectory.csv"
-        code, _, err = run_main(["simulate", *SIM_FLAGS, "--out", str(target)], capsys)
-        assert code == 2
-        assert "error" in err
+        target = str(tmp_path / "missing" / "trajectory.csv")
+        code, out, err = run_main(["simulate", *SIM_FLAGS, "--out", target], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {target!r}: "
+                       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}\n")
 
     def test_negative_dt(self, capsys):
         argv = ["simulate", "--mass", "2", "--g", "3", "--p0", "1", "--q0", "5",
@@ -220,6 +227,9 @@ class TestSimulate:
         assert exact_out == euler_out
 
 
+DEGENERATE = "error: degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)\n"
+
+
 class TestOrbit:
     def test_worked_point(self, capsys):
         code, out, _ = run_main(["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"], capsys)
@@ -232,14 +242,20 @@ class TestOrbit:
         assert out == "p=31 q=-0\n"
 
     def test_degenerate_orbit(self, capsys):
-        code, _, err = run_main(["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"], capsys)
-        assert code == 2
-        assert "degenerate orbit" in err
+        code, out, err = run_main(["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"],
+                                  capsys)
+        assert (code, out, err) == (2, "", DEGENERATE)
 
     def test_degenerate_gravity(self, capsys):
-        code, _, err = run_main(["orbit", "--m", "5", "--g", "0", "--e", "-30", "--p", "31"], capsys)
-        assert code == 2
-        assert "degenerate orbit" in err
+        code, out, err = run_main(["orbit", "--m", "5", "--g", "0", "--e", "-30", "--p", "31"],
+                                  capsys)
+        assert (code, out, err) == (2, "", DEGENERATE)
+
+    def test_overflowing_chart_coordinate(self, capsys):
+        # q = -e/(m*g) = -1e320 is not a double.
+        argv = ["orbit", "--m", "1e-10", "--g", "1e-10", "--e", "1e300", "--p", "1"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out, err) == (2, "", "error: non-finite chart coordinate\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,6 +290,10 @@ def test_integrator_choices_are_the_dynamics_integrators(capsys):
     assert "--integrator {" + ",".join(dynamics.INTEGRATORS) + "}" in capsys.readouterr().out
 
 
+ACT_OVERFLOW = ["act", "--mass", "1e200", "--g", "1e100", "--t", "1e10", "--h", "0",
+                "--p", "1", "--q", "0"]
+
+
 class TestAct:
     def test_worked_point(self, capsys):
         argv = ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"]
@@ -302,9 +322,26 @@ class TestAct:
 
     def test_zero_mass_rejected(self, capsys):
         argv = ["act", "--mass", "0", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"]
-        code, _, err = run_main(argv, capsys)
-        assert code == 2
-        assert "degenerate orbit" in err
+        code, out, err = run_main(argv, capsys)
+        assert (code, out, err) == (2, "", DEGENERATE)
+
+    def test_overflowing_momentum(self, capsys):
+        # p + m*g*t = 1 + 1e310 is not a double.
+        code, out, err = run_main(ACT_OVERFLOW, capsys)
+        assert (code, out, err) == (2, "", "error: non-finite chart coordinate\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"],
+    ACT_OVERFLOW,
+    ["simulate", "--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "-1", "--t-max", "4"],
+    ["verify", "--cases", "0"],
+], ids=["orbit", "act", "simulate", "verify"])
+def test_handlers_raise_refused_input(capsys, argv):
+    # Only cli.main turns a refusal into an error line and exit 2.
+    with pytest.raises(ValueError):
+        getattr(cli, f"cmd_{argv[0]}")(cli.build_parser().parse_args(argv))
+    assert capsys.readouterr() == ("", "")
 
 
 POINT_FLAG_NAMES = sorted({name for flags in cli._POINT_FLAGS.values() for name in flags})
@@ -405,14 +442,12 @@ class TestVerifyCommand:
         assert first == second
 
     def test_zero_cases_is_usage_error(self, capsys):
-        code, _, err = run_main(["verify", "--cases", "0"], capsys)
-        assert code == 2
-        assert "cases" in err
+        code, out, err = run_main(["verify", "--cases", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: --cases must be >= 1\n")
 
     def test_nonpositive_tol_is_usage_error(self, capsys):
-        code, _, err = run_main(["verify", "--cases", "5", "--tol", "-1"], capsys)
-        assert code == 2
-        assert "tol" in err
+        code, out, err = run_main(["verify", "--cases", "5", "--tol", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: --tol must be positive\n")
 
 
 class TestSubprocess:
@@ -616,3 +651,69 @@ def test_closed_stdout_does_not_stop_out(cli_command, tmp_path, flags):
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "0", "--g", "2", "--e=-30", "--p", "31"],
+    ["verify", "--cases", "0"],
+    ["simulate", *SIM_FLAGS, "--out", "/nonexistent/trajectory.csv"],
+], ids=["orbit", "verify", "simulate"])
+@pytest.mark.parametrize("stderr", [pytest.param("full", marks=needs_dev_full), "closed"])
+def test_unwritable_stderr_keeps_exit_status(cli_command, argv, stderr):
+    # The error line is lost, and never written to stdout in its place.
+    if stderr == "full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE, stderr=full,
+                                  timeout=60)
+    else:  # descriptor 2 closed before exec: the interpreter has no sys.stderr
+        proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(2), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@contextlib.contextmanager
+def running_group(command, **kwargs):
+    """The command started in a process group of its own, every process of
+    which is killed on exit, so no forked worker outlives the test."""
+    proc = subprocess.Popen(command, start_new_session=True, **kwargs)
+    try:
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate(timeout=60)
+
+
+def test_ctrl_c_is_reported_once(cli_command):
+    # SIGINT reaches the parent and both forked workers, as Ctrl-C does; only
+    # the parent reports it.  SIGINT is restored to its default in case this
+    # suite runs with it ignored, which the interpreter would then keep.
+    with running_group(cli_command(["simulate", *ENDLESS_SIM_FLAGS], 2),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                       preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+        assert len(proc.stdout.read(1 << 20)) == 1 << 20  # many chunks: both workers run
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGINT  # the interpreter's exit on an uncaught Ctrl-C
+    assert err.count(b"Traceback") == 1 and err.count(b"KeyboardInterrupt") == 1, err.decode()
+
+
+def test_killed_parent_stops_its_workers(cli_command, tmp_path):
+    target = tmp_path / "trajectory.csv"
+
+    def size():
+        return target.stat().st_size if target.exists() else 0
+
+    with running_group(cli_command(["simulate", *ENDLESS_SIM_FLAGS, "--out", str(target)], 2),
+                       stderr=subprocess.PIPE) as proc:
+        deadline = time.monotonic() + 60
+        while size() < 1 << 20:  # many chunks: both workers run
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait(timeout=60)
+        sizes, deadline = [size()], time.monotonic() + 10
+        while len(sizes) < 2 or sizes[-1] != sizes[-2]:
+            assert time.monotonic() < deadline, f"still growing: {sizes}"
+            time.sleep(0.5)
+            sizes.append(size())
