@@ -186,8 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     try:  # an unwritable stderr loses the line, not the exit code
         if sys.stderr is not None:  # else print would write to stdout
             print(f"error: {message}", file=sys.stderr)
-    except OSError:
-        pass
+    except OSError:  # as for stdout: the line kept in the buffer is not flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return 2
 
 

@@ -48,9 +48,7 @@ class SimulationConfig(Record):
         if t_max > 0.0 and dt > t_max:
             raise ValueError("dt must not exceed t_max")
         if integrator not in INTEGRATORS:
-            raise ValueError(
-                f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}"
-            )
+            raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
         OrbitContext(m, g)  # m*g is checked before the sample count
         self.__dict__.update(m=m, g=g, p0=p0, q0=q0, t_max=t_max, dt=dt,
                              integrator=integrator)

@@ -44,15 +44,16 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
     ring = [os.pipe() for _ in range(workers)]
     os.write(ring[0][1], b".")
     pids = []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # Ctrl-C waits for each worker's try
     try:
         for worker in range(workers):
             if pid := os.fork():
                 pids.append(pid)
                 continue
-            turn, next_turn = ring[worker][0], ring[(worker + 1) % workers][1]
-            code = 255  # not an errno: an exception other than OSError
+            code = 255  # not an errno: an exception other than OSError, or Ctrl-C
             try:
-                signal.signal(signal.SIGINT, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                turn, next_turn = ring[worker][0], ring[(worker + 1) % workers][1]
                 for end in {*sum(ring, ())} - {turn, next_turn}:
                     os.close(end)  # so each pipe has one writer, whose exit closes it
                 for chunk in _chunks(cfg, fmt, worker, workers):
@@ -66,13 +67,14 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
                 code = 0
             except OSError as err:
                 code = err.errno
-            except BaseException:
+            except Exception:  # not KeyboardInterrupt: only this process reports it
                 sys.excepthook(*sys.exc_info())
             finally:
                 os._exit(code)  # never the caller's return path, atexit or stdio flush
     finally:  # also when a fork fails: the workers started see the ring close
         for end in sum(ring, ()):
             os.close(end)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a Ctrl-C held since the forks raises here
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if code := next(filter(None, codes), 0):
         raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")

@@ -251,12 +251,6 @@ class TestOrbit:
                                   capsys)
         assert (code, out, err) == (2, "", DEGENERATE)
 
-    def test_overflowing_chart_coordinate(self, capsys):
-        # q = -e/(m*g) = -1e320 is not a double.
-        argv = ["orbit", "--m", "1e-10", "--g", "1e-10", "--e", "1e300", "--p", "1"]
-        code, out, err = run_main(argv, capsys)
-        assert (code, out, err) == (2, "", "error: non-finite chart coordinate\n")
-
 
 @pytest.mark.parametrize("argv", [
     ["orbit", "--m", "1e200", "--g", "1e200", "--e", "5", "--p", "1"],
@@ -284,14 +278,24 @@ def test_subnormal_orbit_product_is_input_error(argv, capsys):
     assert (code, out, err) == (2, "", "error: subnormal orbit parameter product m*g\n")
 
 
+ACT_OVERFLOW = ["act", "--mass", "1e200", "--g", "1e100", "--t", "1e10", "--h", "0",
+                "--p", "1", "--q", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "1e-10", "--g", "1e-10", "--e", "1e300", "--p", "1"],
+    ACT_OVERFLOW,
+], ids=["orbit", "act"])
+def test_non_finite_chart_coordinate_is_input_error(argv, capsys):
+    # orbit's q = -e/(m*g) = -1e320 and act's p + m*g*t = 1 + 1e310 are not doubles.
+    code, out, err = run_main(argv, capsys)
+    assert (code, out, err) == (2, "", "error: non-finite chart coordinate\n")
+
+
 def test_integrator_choices_are_the_dynamics_integrators(capsys):
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--help"])
     assert "--integrator {" + ",".join(dynamics.INTEGRATORS) + "}" in capsys.readouterr().out
-
-
-ACT_OVERFLOW = ["act", "--mass", "1e200", "--g", "1e100", "--t", "1e10", "--h", "0",
-                "--p", "1", "--q", "0"]
 
 
 class TestAct:
@@ -324,11 +328,6 @@ class TestAct:
         argv = ["act", "--mass", "0", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"]
         code, out, err = run_main(argv, capsys)
         assert (code, out, err) == (2, "", DEGENERATE)
-
-    def test_overflowing_momentum(self, capsys):
-        # p + m*g*t = 1 + 1e310 is not a double.
-        code, out, err = run_main(ACT_OVERFLOW, capsys)
-        assert (code, out, err) == (2, "", "error: non-finite chart coordinate\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -660,15 +659,18 @@ def test_closed_stdout_does_not_stop_out(cli_command, tmp_path, flags):
 ], ids=["orbit", "verify", "simulate"])
 @pytest.mark.parametrize("stderr", [pytest.param("full", marks=needs_dev_full), "closed"])
 def test_unwritable_stderr_keeps_exit_status(cli_command, argv, stderr):
-    # The error line is lost, and never written to stdout in its place.
-    if stderr == "full":
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE, stderr=full,
-                                  timeout=60)
-    else:  # descriptor 2 closed before exec: the interpreter has no sys.stderr
-        proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE,
-                              preexec_fn=lambda: os.close(2), timeout=60)
-    assert (proc.returncode, proc.stdout) == (2, b"")
+    # The error line is lost, and never written to stdout in its place.  Buffered,
+    # the line that could not be written stays for the flush at exit.
+    for unbuffered in ("", "1"):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        if stderr == "full":
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE, stderr=full,
+                                      env=env, timeout=60)
+        else:  # descriptor 2 closed before exec: the interpreter has no sys.stderr
+            proc = subprocess.run(cli_command(argv, 2), stdout=subprocess.PIPE, env=env,
+                                  preexec_fn=lambda: os.close(2), timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b""), unbuffered
 
 
 @contextlib.contextmanager
