@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:  # only `simulate --out` runs without one
             sys.stdout.flush()
         return code
-    except ValueError as err:  # a refused input, raised before any output
+    except ValueError as err:  # a refused input, or a failed run that is not a write error
         message = str(err)
     except OSError as err:  # writing stdout; `simulate --out` raises its own as ValueError
         # Point stdout at devnull so the flush at exit cannot fail again.

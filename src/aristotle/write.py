@@ -33,21 +33,26 @@ def _chunks(cfg: dynamics.SimulationConfig, fmt: str, worker: int = 0,
             yield ", " * bool(start) + ", ".join([f'{{"t": {t!r}, "p": {p!r}{tail}' for t, p in rows])
 
 
-def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: int) -> None:
-    """Write the chunks of all workers to fd in order, each worker forked.
+def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: int) -> bool:
+    """Write the chunks of all workers to fd in order, each worker forked, or
+    return False, with nothing written, when a fork fails.
 
     A ring of pipes passes one turn token, so the workers write in turn through
     the shared file offset.  A worker that fails exits with its errno, raised
-    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the rest.
+    here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the
+    rest; a worker killed by a signal, or exiting otherwise, raises ValueError.
     On Ctrl-C only this process reports; a worker stops once its parent is killed."""
     parent = os.getpid()
     ring = [os.pipe() for _ in range(workers)]
-    os.write(ring[0][1], b".")
     pids = []
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # Ctrl-C waits for each worker's try
     try:
         for worker in range(workers):
-            if pid := os.fork():
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers started see the ring close
+                break
+            if pid:
                 pids.append(pid)
                 continue
             code = 255  # not an errno: an exception other than OSError, or Ctrl-C
@@ -71,21 +76,28 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
                 sys.excepthook(*sys.exc_info())
             finally:
                 os._exit(code)  # never the caller's return path, atexit or stdio flush
-    finally:  # also when a fork fails: the workers started see the ring close
+        else:
+            os.write(ring[0][1], b".")  # the first turn, once every worker runs
+    finally:
         for end in sum(ring, ()):
             os.close(end)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a Ctrl-C held since the forks raises here
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if code := next(filter(None, codes), 0):
-        raise OSError(code, os.strerror(code) if code > 0 else f"worker got signal {-code}")
+    if 0 < (code := next(filter(None, codes), 0)) < 255:  # the errno of a failed read or write
+        raise OSError(code, os.strerror(code))
+    if code:  # not a write error: a signal, or an exception other than OSError
+        raise ValueError(f"a worker process was killed by signal {-code} ({signal.strsignal(-code)})"
+                         if code < 0 else f"a worker process exited unexpectedly with status {code}")
+    return len(pids) == workers
 
 
 def write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str) -> None:
     """Write the samples of cfg, all finite, to fh.
 
     Forked workers format the rows on every CPU the process may use, unless
-    there is one CPU, one chunk, no fork, or no descriptor encoding ASCII as
-    is: the same bytes either way, in memory that does not grow with the rows."""
+    there is one CPU, one chunk, no fork or a failed one, or no descriptor
+    encoding ASCII as is: the same bytes either way, in memory that does not
+    grow with the rows."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
     fh.write("t,p,q,H\n" if fmt == "csv" else "[")
@@ -94,10 +106,11 @@ def write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str
         encodes_ascii = _ASCII.decode().encode(fh.encoding, "replace") == _ASCII
     except (AttributeError, io.UnsupportedOperation):
         encodes_ascii = False
-    if workers > 1 and encodes_ascii and hasattr(os, "fork"):
+    forked = workers > 1 and encodes_ascii and hasattr(os, "fork")
+    if forked:
         fh.flush()
-        _write_forked(fd, cfg, fmt, workers)
-    else:
+        forked = _write_forked(fd, cfg, fmt, workers)
+    if not forked:
         for chunk in _chunks(cfg, fmt):
             fh.write(chunk)
     fh.write("]\n" if fmt == "json" else "")

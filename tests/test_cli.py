@@ -198,6 +198,60 @@ class TestSimulate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("failure", ["signal", "exception"])
+    def test_failed_worker_is_named(self, tmp_path, capsys, monkeypatch, use_cpus, failure):
+        # Forked workers inherit this os.write: each worker ends on its second
+        # chunk, killed as the OOM killer would, or by an exception other than
+        # OSError, whose traceback goes to the worker's copy of sys.stderr.
+        real_write = os.write
+        chunks = []
+
+        def write(fd, data):
+            if len(data) > 1:
+                if chunks and failure == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if chunks:
+                    raise RuntimeError("not a write error")
+                chunks.append(fd)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        use_cpus(2)
+        target = tmp_path / "trajectory.csv"
+        code, out, err = run_main(["simulate", *LONG_SIM_FLAGS, "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        killed = f"signal {signal.SIGKILL:d} ({signal.strsignal(signal.SIGKILL)})"
+        assert err == (f"error: a worker process was killed by {killed}\n"
+                       if failure == "signal" else
+                       "error: a worker process exited unexpectedly with status 255\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_failed_fork_formats_in_process(self, tmp_path, capsys, monkeypatch, use_cpus,
+                                            failing_call):
+        target = tmp_path / "trajectory.csv"
+        argv = ["simulate", *LONG_SIM_FLAGS, "--out", str(target)]
+        use_cpus(1)
+        assert run_main(argv, capsys) == (0, "", "")
+        expected = target.read_bytes()
+        real_fork = os.fork
+        calls = []
+
+        def fork():  # fails as when the process-id limit is reached
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(2)
+        assert run_main(argv, capsys) == (0, "", "")
+        assert len(calls) == failing_call
+        assert target.read_bytes() == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @needs_dev_full
     def test_full_device_error_is_the_same_on_every_path(self, capsys, use_cpus):
         argv = ["simulate", *LONG_SIM_FLAGS, "--out", "/dev/full"]

@@ -128,6 +128,51 @@ class TestNaNViolationMutation:
         assert math.isnan(result.max_violation) and not result.passed
 
 
+class TestNaNInOneComparedValue:
+    """A NaN in any value a check compares must FAIL its property.
+
+    max() keeps a NaN only when it comes first, so a check that folds its
+    comparisons with max alone passes a NaN that follows a finite value.
+    """
+
+    def test_nan_hamiltonian_after_a_finite_sample(self, monkeypatch):
+        from aristotle import dynamics
+
+        real = dynamics.hamiltonian
+        # The first sample's p is p0, in [-10, 10]; later samples reach past 12.
+        monkeypatch.setattr(dynamics, "hamiltonian",
+                            lambda ctx, pt: math.nan if pt.p > 12.0 else real(ctx, pt))
+        by_name = result_map(verify.run_verify(seed=1, cases=200))
+        for name in ("energy_conservation_exact", "energy_conservation_euler"):
+            assert not by_name[name].passed
+            assert math.isnan(by_name[name].max_violation)
+        assert by_name["hamiltonian_p_independence"].passed
+
+    def test_nan_second_coordinate_of_spacetime_act(self, monkeypatch):
+        real = group.spacetime_act
+        monkeypatch.setattr(group, "spacetime_act",
+                            lambda a, t, x: (real(a, t, x)[0], math.nan))
+        result = result_map(verify.run_verify(seed=1, cases=20))["spacetime_action_law"]
+        assert not result.passed
+        assert math.isnan(result.max_violation)
+
+
+def test_checks_compare_only_through_violation():
+    """No check folds or measures its own values: each compares through
+    verify._violation, where a NaN anywhere is the worst."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(verify))
+    checks = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
+    assert len(checks) >= 30
+    for check in checks:
+        for node in ast.walk(check):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("abs", "max"), (check.name, node.lineno)
+
+
 class TestEnergyMutation:
     """A kinetic term in H must fail both energy properties.
 
