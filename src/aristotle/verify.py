@@ -3,12 +3,12 @@
 Each property draws its own deterministic input stream, seeded by the pair
 (seed, property name), so results never depend on the order in which
 properties run and the suite can be sharded without coordination.  A case's
-violation is the worst absolute or relative difference over every value its
-check compares through ``_violation``, records field by field and tuples item
-by item.  A property reports its worst violation over the requested number of
-cases and passes when that maximum stays within its tolerance; a NaN in any
-compared value is the worst case and fails.  ``run_verify`` returns one
-``PropertyResult`` per property, and ``cli`` writes the report.
+violation is the worst absolute or relative difference over the values its
+check compares through ``_violation``.  A property reports its worst
+violation over the requested number of cases and passes when that maximum
+stays within its tolerance; a NaN in any compared value is the worst case
+and fails.  ``run_verify`` returns one ``PropertyResult`` per property, and
+``cli`` writes the report.
 
 Tolerance classes:
 
@@ -27,11 +27,11 @@ Coordinates are drawn from [-10, 10], the acceleration from
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from . import algebra, dynamics, group, orbit
 from .record import Record
@@ -105,20 +105,22 @@ def _reldiff(x: float, y: float) -> float:
 
 
 def _violation(*comparisons: tuple) -> float:
-    """The worst violation over comparisons (lhs, rhs, measure).  A side is a
-    number, a record, compared field by field, or a tuple, compared item by
-    item, so its items may be records.  A NaN anywhere is the worst."""
-    violations = []
+    """The worst violation of comparisons (lhs, rhs, measure) of numbers, records
+    field by field, or tuples item by item; a NaN anywhere is the worst."""
+    worst = 0.0
     for lhs, rhs, measure in comparisons:
         if isinstance(rhs, Record):
             rhs = vars(rhs).values()
-        if isinstance(lhs, Record):  # its fields are numbers
-            violations += map(measure, vars(lhs).values(), rhs)
-        elif isinstance(lhs, tuple):
-            violations.append(_violation(*[(x, y, measure) for x, y in zip(lhs, rhs)]))
+        if isinstance(lhs, tuple) and isinstance(lhs[0], (Record, tuple)):
+            violations = [_violation(*zip(lhs, rhs, repeat(measure)))]
+        elif isinstance(lhs, (Record, tuple)):  # numbers, as lhs[0] is; rhs may be any iterable
+            violations = map(measure, vars(lhs).values() if isinstance(lhs, Record) else lhs, rhs)
         else:
-            violations.append(measure(lhs, rhs))
-    return math.nan if any(map(math.isnan, violations)) else max(violations)
+            violations = [measure(lhs, rhs)]
+        for violation in violations:
+            if violation > worst or violation != violation:  # a NaN stays the worst
+                worst = violation
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +149,8 @@ def _check_jacobi_identity(rng: random.Random) -> float:
 
 def _check_vector_space_laws(rng: random.Random) -> float:
     a, b = _algebra_element(rng), _algebra_element(rng)
-    zero = algebra.AlgebraElement(0.0, 0.0, 0.0)
     return _violation(((a + b, 2.0 * a, 1.0 * a, a - a, 0.0 * a),
-                       (b + a, a + a, a, zero, zero), _absdiff))
+                       (b + a, a + a, a, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), _absdiff))
 
 
 def _check_dimension_consistency(rng: random.Random) -> float:
@@ -190,9 +191,8 @@ def _check_extended_associativity(rng: random.Random) -> float:
 def _check_extended_identity(rng: random.Random) -> float:
     g = _gravity(rng)
     a = _extended(rng)
-    left = group.multiply_extended(g, group.EXTENDED_IDENTITY, a)
-    right = group.multiply_extended(g, a, group.EXTENDED_IDENTITY)
-    return _violation(((left, right), (a, a), _absdiff))
+    return _violation(((group.multiply_extended(g, group.EXTENDED_IDENTITY, a),
+                        group.multiply_extended(g, a, group.EXTENDED_IDENTITY)), (a, a), _absdiff))
 
 
 def _check_extended_inverse(rng: random.Random) -> float:
@@ -370,10 +370,8 @@ def _check_momentum_map_antihomomorphism(rng: random.Random) -> float:
         orbit.comomentum(ctx, x), orbit.comomentum(ctx, y)
     )
     map_of_bracket = orbit.comomentum(ctx, algebra.bracket(table, x, y))
-    return _violation(
-        (bracket_of_maps.c, -map_of_bracket.c, _reldiff),
-        ((map_of_bracket.a_p, map_of_bracket.a_q), (0.0, 0.0), _absdiff),
-    )
+    return _violation((bracket_of_maps.c, -map_of_bracket.c, _reldiff),
+                      ((map_of_bracket.a_p, map_of_bracket.a_q), (0.0, 0.0), _absdiff))
 
 
 def _check_hamiltonian_field_convention(rng: random.Random) -> float:
@@ -397,8 +395,8 @@ def _check_static_position(rng: random.Random) -> float:
         cfg = _simulation_config(rng, integrator)
         ctx = orbit.OrbitContext(cfg.m, cfg.g)
         start = orbit.OrbitPoint(cfg.p0, cfg.q0)
-        comparisons += [(cfg.q0, dynamics.evolve_exact(ctx, start, t).q, _absdiff)
-                        for t, _ in dynamics.sample_rows(cfg)]  # q stays q0 on every sample
+        flow_q = tuple(dynamics.evolve_exact(ctx, start, t).q for t, _ in dynamics.sample_rows(cfg))
+        comparisons.append((flow_q, repeat(cfg.q0), _absdiff))  # q stays q0 on every sample
     return _violation(*comparisons)
 
 
@@ -408,14 +406,15 @@ def _check_energy_conservation(integrator: str, rng: random.Random) -> float:
     so only this evaluation sees a Hamiltonian that depends on p."""
     cfg = _simulation_config(rng, integrator)
     ctx, h0 = orbit.OrbitContext(cfg.m, cfg.g), cfg.energy
-    return _violation(*((dynamics.hamiltonian(ctx, orbit.OrbitPoint(p, cfg.q0)), h0, _absdiff)
-                        for _, p in dynamics.sample_rows(cfg)))
+    return _violation((tuple(dynamics.hamiltonian(ctx, orbit.OrbitPoint(p, cfg.q0))
+                             for _, p in dynamics.sample_rows(cfg)), repeat(h0), _absdiff))
 
 
 def _check_momentum_linear(integrator: str, rng: random.Random) -> float:
     cfg = _simulation_config(rng, integrator)
     drift = cfg.m * cfg.g
-    return _violation(*((p - cfg.p0, drift * t, _reldiff) for t, p in dynamics.sample_rows(cfg)))
+    ts, ps = zip(*dynamics.sample_rows(cfg))
+    return _violation((tuple(p - cfg.p0 for p in ps), tuple(drift * t for t in ts), _reldiff))
 
 
 def _check_flow_composition(rng: random.Random) -> float:
