@@ -130,7 +130,8 @@ def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> Algebr
 def jacobi_violation(table: BracketTable) -> float:
     """Worst cyclic-sum defect [[x,y],z] + [[y,z],x] + [[z,x],y] over basis triples.
 
-    Returns 0 exactly when the table defines a Lie algebra.  Raises
+    Returns 0 exactly when the table defines a Lie algebra, and NaN when an
+    overflowed sum leaves the defect undefined.  Raises
     AntisymmetryError before computing anything if the table is not
     antisymmetric, so a malformed table is never silently graded.
     """
@@ -149,7 +150,9 @@ def jacobi_violation(table: BracketTable) -> float:
         for j in r:
             for k in r:
                 for x, y, z in zip(nested[i][j][k], nested[j][k][i], nested[k][i][j]):
-                    worst = max(worst, abs(x + y + z))
+                    defect = abs(x + y + z)
+                    if defect > worst or defect != defect:  # a NaN (inf - inf) stays the worst
+                        worst = defect
     return worst
 
 

@@ -10,7 +10,7 @@ stays within its tolerance; a NaN in any compared value is the worst case
 and fails.  ``run_verify`` returns one ``PropertyResult`` per property, and
 ``cli`` writes the report.
 
-Tolerance classes:
+Tolerance classes, one per property, fixed by its ``PROPERTIES`` entry:
 
 * 0.0        identities that hold bitwise in IEEE doubles (copied fields,
              symmetric negations, no-op arithmetic);
@@ -18,7 +18,6 @@ Tolerance classes:
              evaluation regroups terms (measured headroom is ~1e-13 on the
              sampled ranges);
 * 1e-9       the documented tolerance for composite numerical identities;
-             this is the class the --tol flag overrides;
 * 1e-5       finite-difference checks at step 1e-6.
 
 Coordinates are drawn from [-10, 10], the acceleration from
@@ -535,17 +534,10 @@ class PropertyResult:
     passed: bool
 
 
-def run_verify(seed: int, cases: int, tol: float | None = None) -> tuple[PropertyResult, ...]:
-    """Run every registered property over `cases` seeded random inputs.
-
-    ``tol``, when given, replaces the tolerance of the 1e-9 numerical class
-    only; bitwise identities and the pinned floating-point/finite-difference
-    tolerances are not loosened or tightened by it.
-    """
+def run_verify(seed: int, cases: int) -> tuple[PropertyResult, ...]:
+    """Run every registered property over `cases` seeded random inputs."""
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    if tol is not None and tol <= 0.0:
-        raise ValueError("tol must be positive")
     results = []
     for prop in PROPERTIES:
         rng = random.Random(f"{seed}:{prop.name}")
@@ -553,8 +545,5 @@ def run_verify(seed: int, cases: int, tol: float | None = None) -> tuple[Propert
         for _ in range(cases):
             violation = prop.check(rng)  # a NaN stays the worst case: it fails
             worst = max(worst, violation) if violation == violation else violation
-        tolerance = prop.tolerance
-        if tol is not None and tolerance == NUMERICAL_TOL:
-            tolerance = tol
-        results.append(PropertyResult(prop.name, worst, tolerance, worst <= tolerance))
+        results.append(PropertyResult(prop.name, worst, prop.tolerance, worst <= prop.tolerance))
     return tuple(results)

@@ -1,5 +1,6 @@
 """Bracket table, Jacobi grading, and dimensional bookkeeping."""
 
+import math
 import random
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestJacobi:
             # Summation may round differently (numpy can fuse multiply-adds);
             # with entries below 10 in magnitude the terms sum below 1e4.
             assert abs(jacobi_violation(BracketTable(c)) - expected) <= 1e-11
+
+    def test_overflowed_defect_is_nan(self):
+        # The exact defect on (P, E, M) is 1e400 + 2e200 - 1e400 = 2e200, but
+        # the outer terms overflow to inf and -inf, and their sum is NaN: a
+        # max() fold drops it and scores the table 0.
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 0] = c[0, 2, 0] = -1e200
+        c[1, 2, 2] = 2.0
+        c[1, 0], c[2, 0], c[2, 1] = -c[0, 1], -c[0, 2], -c[1, 2]
+        assert math.isnan(jacobi_violation(BracketTable(c)))
 
     def test_antisymmetry_breach_is_distinct_error(self):
         constants = np.zeros((3, 3, 3))
