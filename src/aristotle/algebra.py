@@ -57,7 +57,7 @@ class AlgebraElement(Record):
     __rmul__ = __mul__
 
 
-class BracketTable:
+class BracketTable(Record):
     """Dense structure-constant table: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     The table is an immutable nested tuple of floats, read as
@@ -81,18 +81,10 @@ class BracketTable:
                     raise ValueError(shape_error)
                 if not all(map(math.isfinite, row)):
                     raise ValueError("non-finite structure constant")
-        self._constants = table
-
-    @property
-    def constants(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        return self._constants
-
-    @property
-    def dimension(self) -> int:
-        return len(self._constants)
+        self.__dict__.update(constants=table)
 
     def is_antisymmetric(self) -> bool:
-        c = self._constants
+        c = self.constants
         return all(
             x == -y for i, plane in enumerate(c) for j, row in enumerate(plane)
             for x, y in zip(row, c[j][i])
@@ -108,7 +100,7 @@ def aristotle_bracket_table(g: float) -> BracketTable:
 
 def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the table to coefficient triples."""
-    if table.dimension != 3:
+    if len(table.constants) != 3:
         raise ValueError("coefficient-triple bracket needs a 3-dimensional table")
     constants = table.constants
     va = (a.c_P, a.c_E, a.c_M)
@@ -138,7 +130,7 @@ def jacobi_violation(table: BracketTable) -> float:
     if not table.is_antisymmetric():
         raise AntisymmetryError("bracket table is not antisymmetric")
     c = table.constants
-    r = range(table.dimension)
+    r = range(len(c))
     # nested[i][j][k] = [[e_i, e_j], e_k]; component m is the dot product
     # sum_l c[i][j][l] * c[l][k][m], summed in order of l.
     nested = [

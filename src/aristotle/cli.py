@@ -168,6 +168,14 @@ def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
                                  **{name[2:]: value for name, value in values.items()})
 
 
+def _to_devnull(stream) -> None:
+    """Point the descriptor of stream at devnull, so the flush at exit cannot fail again."""
+    fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+    if null != fd:  # else fd was closed, and devnull took its place
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _point_query(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
@@ -181,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a refused input, or a failed run that is not a write error
         message = str(err)
     except OSError as err:  # writing stdout; `simulate --out` raises its own as ValueError
-        # Point stdout at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         if isinstance(err, BrokenPipeError):  # a reader that stopped early, as `| head` does
             return 0
         message = f"cannot write stdout: {err}"
@@ -190,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stderr is not None:  # else print would write to stdout
             print(f"error: {message}", file=sys.stderr)
     except OSError:  # as for stdout: the line kept in the buffer is not flushed at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        _to_devnull(sys.stderr)
     return 2
 
 

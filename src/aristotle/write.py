@@ -1,5 +1,6 @@
 """The writer of ``aristotle simulate``: the samples of a config as CSV or
-JSON, formatted in forked workers.  Only ``simulate`` loads this module."""
+JSON, formatted in forked workers, none of which outlives the call, even an
+interrupted one.  Only ``simulate`` loads this module."""
 
 import contextlib
 import io
@@ -41,7 +42,9 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
     the shared file offset.  A worker that fails exits with its errno, raised
     here as OSError (BrokenPipeError for EPIPE), and its closed pipe stops the
     rest; a worker killed by a signal, or exiting otherwise, raises ValueError.
-    On Ctrl-C only this process reports; a worker stops once its parent is killed."""
+    On Ctrl-C only this process reports.  Whatever interrupts the wait for the
+    workers kills and reaps those still running before it propagates, so none
+    outlives the call; a worker stops once its parent is killed."""
     parent = os.getpid()
     ring = [os.pipe() for _ in range(workers)]
     pids = []
@@ -81,8 +84,18 @@ def _write_forked(fd: int, cfg: dynamics.SimulationConfig, fmt: str, workers: in
     finally:
         for end in sum(ring, ()):
             os.close(end)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a Ctrl-C held since the forks raises here
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        codes = []  # the exit codes of pids[:len(codes)]
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a Ctrl-C held since the forks raises here
+            for pid in pids:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        except BaseException:  # Ctrl-C, say: no worker outlives the call
+            for pid in pids[len(codes):]:
+                with contextlib.suppress(ChildProcessError):  # reaped as the wait was cut
+                    if not os.waitpid(pid, os.WNOHANG)[0]:  # still running, so the pid is still its own
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+            raise
     if 0 < (code := next(filter(None, codes), 0)) < 255:  # the errno of a failed read or write
         raise OSError(code, os.strerror(code))
     if code:  # not a write error: a signal, or an exception other than OSError

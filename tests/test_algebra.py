@@ -1,6 +1,8 @@
 """Bracket table, Jacobi grading, and dimensional bookkeeping."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -87,7 +89,7 @@ class TestBracket:
 class TestTable:
     def test_canonical_table_entries(self):
         table = aristotle_bracket_table(3.0)
-        assert table.dimension == 3
+        assert len(table.constants) == 3
         assert table.constants[P_INDEX][E_INDEX][M_INDEX] == 3.0
         assert table.constants[E_INDEX][P_INDEX][M_INDEX] == -3.0
         flat = [x for plane in table.constants for row in plane for x in row]
@@ -99,6 +101,19 @@ class TestTable:
         with pytest.raises(TypeError):
             table.constants[0][0][0] = 5.0
         assert table.constants[0][0][0] == 0.0
+
+    def test_is_a_frozen_record(self):
+        table = aristotle_bracket_table(2.0)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'constants'$"):
+            table.constants = ()
+        with pytest.raises(AttributeError, match="^cannot delete field 'constants'$"):
+            del table.constants
+        same = BracketTable(np.array(table.constants))
+        assert table == same and hash(table) == hash(same)
+        assert table != table.constants and table != aristotle_bracket_table(3.0)
+        assert repr(table).startswith("BracketTable(constants=((")
+        for y in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert type(y) is BracketTable and y == table
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ValueError):

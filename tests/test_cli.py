@@ -827,3 +827,46 @@ def test_killed_parent_stops_its_workers(cli_command, tmp_path):
             assert time.monotonic() < deadline, f"still growing: {sizes}"
             time.sleep(0.5)
             sizes.append(size())
+
+
+@pytest.fixture
+def alarm():
+    """Arm a timer whose SIGALRM raises KeyboardInterrupt in this process, as
+    a Ctrl-C does; the timer and the handler are restored on exit."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    handler = signal.signal(signal.SIGALRM, interrupt)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, handler)
+
+
+def test_interrupted_write_stops_its_workers(use_cpus, alarm, tmp_path):
+    # A library caller survives the interrupt, so its workers never see a new parent.
+    target = tmp_path / "trajectory.csv"
+    cfg = dynamics.SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=100.0, dt=1e-6)
+    use_cpus(2)
+    alarm(0.5)
+    with open(target, "w", encoding="utf-8") as fh, pytest.raises(KeyboardInterrupt):
+        write.write_trajectory(fh, cfg, "csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    size = target.stat().st_size
+    time.sleep(0.5)
+    assert target.stat().st_size == size > 0
+
+
+@needs_dev_full
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_failed_writes_leave_no_descriptor_open(capsys):
+    point = ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"]
+    degenerate = ["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"]
+    calls = [(point, contextlib.redirect_stdout)] * 3 + [(degenerate, contextlib.redirect_stderr)] * 3
+    before = len(os.listdir("/proc/self/fd"))
+    for argv, redirect in calls:
+        # Line-buffered, so that the write fails in the call, not when the file is closed.
+        with open("/dev/full", "w", buffering=1) as full, redirect(full):
+            assert cli.main(argv) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr() == ("", f"error: cannot write stdout: {ENOSPC}\n" * 3)

@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from aristotle import algebra, dynamics, group, orbit
 from aristotle.algebra import AlgebraElement, Dimension
 from aristotle.dynamics import SimulationConfig
 from aristotle.group import BaseElement, ExtendedElement
@@ -21,6 +22,7 @@ from aristotle.orbit import (
     OrbitPoint,
     OrbitTangent,
 )
+from aristotle.record import Record
 
 # Each class with valid arguments, its field names in declaration order, and
 # the message of a non-finite float field (None: its fields are unchecked).
@@ -93,6 +95,15 @@ def test_non_finite_messages_name_the_first_bad_field(cls, args, fields, message
         with pytest.raises(ValueError) as err:
             cls(*values)
         assert type(err.value) is ValueError and str(err.value) == message.format(fields[i])
+
+
+@pytest.mark.parametrize("module", [algebra, group, orbit, dynamics],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_every_class_of_the_chain_is_a_record_or_an_exception(module):
+    classes = [c for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
+    assert classes
+    assert [c.__name__ for c in classes if not issubclass(c, (Record, Exception))] == []
 
 
 def test_chart_point_differs_from_tangent_of_same_components():
