@@ -20,17 +20,16 @@ from collections.abc import Iterator
 from itertools import accumulate, repeat
 
 from .orbit import OrbitContext, OrbitPoint, OrbitTangent
-from .record import Record
 
 INTEGRATORS = ("exact", "symplectic_euler")
 
 
-class SimulationConfig(Record):
-    """Trajectory request: orbit parameters, initial point, grid, integrator.
+class SimulationConfig(OrbitContext):
+    """Trajectory request on the orbit (m, g): initial point, grid, integrator.
 
-    Building one checks its whole run by its last sample, read by index with
-    sample_rows: ValueError is raised unless m*g, the sample count, every p
-    and H are finite.
+    A config is the OrbitContext of its run.  Building one checks the whole
+    run by its last sample, read by index with sample_rows: ValueError is
+    raised unless m*g, the sample count, every p and H are finite.
     """
 
     def __init__(self, m: float, g: float, p0: float, q0: float, t_max: float,
@@ -39,8 +38,7 @@ class SimulationConfig(Record):
                             ("t_max", t_max), ("dt", dt)):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite configuration value {name}")
-        if m == 0.0 or g == 0.0:
-            raise ValueError("m and g must be nonzero")
+        OrbitContext.__init__(self, m, g)  # m*g before the grid, integrator and sample count
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if t_max < 0.0:
@@ -49,9 +47,7 @@ class SimulationConfig(Record):
             raise ValueError("dt must not exceed t_max")
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
-        OrbitContext(m, g)  # m*g is checked before the sample count
-        self.__dict__.update(m=m, g=g, p0=p0, q0=q0, t_max=t_max, dt=dt,
-                             integrator=integrator)
+        self.__dict__.update(p0=p0, q0=q0, t_max=t_max, dt=dt, integrator=integrator)
         # Rounding is monotone, so every p lies between p0 and the last sample.
         for _, p in sample_rows(self, sample_count(self) - 1):
             OrbitPoint(p, q0)
@@ -61,7 +57,7 @@ class SimulationConfig(Record):
     @property
     def energy(self) -> float:
         """H = m*g*q0, the same on every sample (q stays q0)."""
-        return hamiltonian(OrbitContext(self.m, self.g), OrbitPoint(self.p0, self.q0))
+        return hamiltonian(self, OrbitPoint(self.p0, self.q0))
 
 
 def hamiltonian(ctx: OrbitContext, pt: OrbitPoint) -> float:
@@ -118,11 +114,13 @@ def sample_count(cfg: SimulationConfig) -> int:
 
 
 def sample_rows(cfg: SimulationConfig, start: int = 0) -> Iterator[tuple[float, float]]:
-    """(t, p) of the samples of cfg from index ``start`` on, final point
+    """(t, p) of the samples of cfg from index ``start`` >= 0 on, final point
     included, all finite: the floats of the whole run, where an Euler run
     resumes from its p at ``start`` found binade by binade."""
+    if start < 0:
+        raise ValueError("start must be nonnegative")
     n, final = _time_grid(cfg.t_max, cfg.dt)
-    drift = physical_drift(OrbitContext(cfg.m, cfg.g)).dp
+    drift = physical_drift(cfg).dp
     p0, dt, t_max, step = cfg.p0, cfg.dt, cfg.t_max, drift * cfg.dt
     if cfg.integrator == "exact":
         for k in range(start, n + 1):

@@ -392,9 +392,8 @@ def _check_static_position(rng: random.Random) -> float:
     comparisons = []
     for integrator in dynamics.INTEGRATORS:
         cfg = _simulation_config(rng, integrator)
-        ctx = orbit.OrbitContext(cfg.m, cfg.g)
         start = orbit.OrbitPoint(cfg.p0, cfg.q0)
-        flow_q = tuple(dynamics.evolve_exact(ctx, start, t).q for t, _ in dynamics.sample_rows(cfg))
+        flow_q = tuple(dynamics.evolve_exact(cfg, start, t).q for t, _ in dynamics.sample_rows(cfg))
         comparisons.append((flow_q, repeat(cfg.q0), _absdiff))  # q stays q0 on every sample
     return _violation(*comparisons)
 
@@ -404,9 +403,8 @@ def _check_energy_conservation(integrator: str, rng: random.Random) -> float:
     H, that of its first point.  A trajectory writes that one H on every row,
     so only this evaluation sees a Hamiltonian that depends on p."""
     cfg = _simulation_config(rng, integrator)
-    ctx, h0 = orbit.OrbitContext(cfg.m, cfg.g), cfg.energy
-    return _violation((tuple(dynamics.hamiltonian(ctx, orbit.OrbitPoint(p, cfg.q0))
-                             for _, p in dynamics.sample_rows(cfg)), repeat(h0), _absdiff))
+    return _violation((tuple(dynamics.hamiltonian(cfg, orbit.OrbitPoint(p, cfg.q0))
+                             for _, p in dynamics.sample_rows(cfg)), repeat(cfg.energy), _absdiff))
 
 
 def _check_momentum_linear(integrator: str, rng: random.Random) -> float:

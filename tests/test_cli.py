@@ -3,7 +3,9 @@
 import contextlib
 import errno
 import json
+import math
 import os
+import random
 import re
 import signal
 import stat
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle import cli, dynamics, write
+from test_dynamics import GRID_VALUES
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
 # 1e5 rows: 25 chunks, and more than a pipe buffer holds.
@@ -334,6 +337,37 @@ class TestOrbit:
         code, out, err = run_main(["orbit", "--m", "5", "--g", "0", "--e", "-30", "--p", "31"],
                                   capsys)
         assert (code, out, err) == (2, "", DEGENERATE)
+
+
+@pytest.mark.parametrize("mass, g", [("0", "2"), ("5", "0")])
+def test_simulate_refuses_a_degenerate_orbit_as_orbit_does(mass, g, capsys):
+    simulate = ["simulate", "--mass", mass, "--g", g, "--p0", "0", "--q0", "0",
+                "--t-max", "1", "--dt", "0.5"]
+    point = ["orbit", "--m", mass, "--g", g, "--e", "1", "--p", "1"]
+    assert run_main(simulate, capsys) == run_main(point, capsys) == (2, "", DEGENERATE)
+
+
+def test_every_point_query_is_finite_or_refused(capsys):
+    # Each flag a grid value or +-10**U(-320, 308.2): subnormal, huge and
+    # zero orbit parameters, and chart points near overflow.
+    rng = random.Random(19)
+    answers = refusals = 0
+    for _ in range(10000):
+        command = rng.choice(sorted(cli._POINT_FLAGS))
+        argv = [command]
+        for name in cli._POINT_FLAGS[command]:
+            value = (rng.choice(GRID_VALUES) if rng.random() < 0.5
+                     else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308.2))
+            argv.append(f"{name}={value!r}")
+        code, out, err = run_main(argv, capsys)
+        if code == 0:
+            point = re.fullmatch(r"p=(\S+) q=(\S+)\n", out)
+            assert point and err == "" and all(math.isfinite(float(x)) for x in point.groups()), argv
+            answers += 1
+        else:
+            assert (code, out) == (2, "") and re.fullmatch(r"error: [^\n]+\n", err), argv
+            refusals += 1
+    assert answers > 1000 and refusals > 1000
 
 
 @pytest.mark.parametrize("argv", [

@@ -199,6 +199,24 @@ class TestTrajectory:
                 for start in range(len(whole) + 1):
                     assert repr(list(sample_rows(cfg, start))) == repr(whole[start:])
 
+    def test_negative_start_is_refused(self):
+        # Not the rows at t = -0.5 and -0.25, which precede the run.
+        cfg = SimulationConfig(m=1.0, g=2.0, p0=0.5, q0=1.0, t_max=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="^start must be nonnegative$"):
+            list(sample_rows(cfg, -2))
+
+    def test_negative_euler_start_is_refused_at_once(self):
+        # Not a count of steps down from -2 that never reaches 0.
+        code = ("from aristotle.dynamics import SimulationConfig, sample_rows\n"
+                "cfg = SimulationConfig(1.0, 2.0, 0.5, 1.0, 1.0, 0.25, 'symplectic_euler')\n"
+                "try:\n"
+                "    list(sample_rows(cfg, -2))\n"
+                "except ValueError as err:\n"
+                "    print(err)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10)
+        assert (proc.stdout, proc.stderr) == ("start must be nonnegative\n", "")
+
     @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
     def test_non_finite_samples_rejected_up_front(self, integrator):
         overflow_p = dict(m=10.0, g=9.81, p0=1.0, q0=5.0, t_max=1e308, dt=1e307)

@@ -130,7 +130,8 @@ def test_simulation_config_integrator_defaults_to_exact():
 
 
 @pytest.mark.parametrize("args, error, message", [
-    ((0.0, 3.0, 1.0, 5.0, -4.0, -1.0, "rk4"), ValueError, "m and g must be nonzero"),
+    ((0.0, 3.0, 1.0, 5.0, -4.0, -1.0, "rk4"), DegenerateOrbitError,
+     "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
     ((2.0, 3.0, 1.0, 5.0, -4.0, -1.0, "rk4"), ValueError, "dt must be positive"),
     ((2.0, 3.0, 1.0, 5.0, -4.0, 0.5, "rk4"), ValueError, "t_max must be nonnegative"),
     ((2.0, 3.0, 1.0, 5.0, 0.25, 0.5, "rk4"), ValueError, "dt must not exceed t_max"),
@@ -148,6 +149,25 @@ def test_simulation_config_checks_run_in_order(args, error, message):
     with pytest.raises(error) as err:
         SimulationConfig(*args)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_simulation_config_is_the_orbit_context_of_its_run():
+    # Field order, copies and pickles are pinned for it in TestRecordContract.
+    cfg = SimulationConfig(2.0, 3.0, 1.0, 5.0, 4.0, 0.5)
+    assert isinstance(cfg, OrbitContext)
+    assert cfg != OrbitContext(cfg.m, cfg.g) and OrbitContext(cfg.m, cfg.g) != cfg
+
+
+@pytest.mark.parametrize("dt", [0.5, -1.0])
+@pytest.mark.parametrize("m, g", [(0.0, 3.0), (2.0, 0.0), (1e-200, 1e-200), (1e200, 1e200),
+                                  (1e-300, 7e-24)])
+def test_simulation_config_refuses_m_g_as_orbit_context_does(m, g, dt):
+    # Before the grid rules: a dt of -1 is not what is named.
+    with pytest.raises(ValueError) as expected:
+        OrbitContext(m, g)
+    with pytest.raises(ValueError) as err:
+        SimulationConfig(m, g, 1.0, 5.0, 4.0, dt)
+    assert (type(err.value), str(err.value)) == (type(expected.value), str(expected.value))
 
 
 @pytest.mark.parametrize("m, g, error, message", [

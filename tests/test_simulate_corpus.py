@@ -101,10 +101,10 @@ CORPUS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
-# Refusals, each but the last breaking two rules at once, so the rule checked
-# first names the error: m*g before the sample count, a degenerate orbit
-# before the sample count, the sample count before H, the last p before H,
-# and the config rules (m = 0, dt > t_max) before everything else.
+# Refusals, each breaking two rules at once, so the rule checked first names
+# the error: m*g before the sample count, a degenerate orbit before the
+# sample count, the sample count before H, the last p before H, and a zero m
+# (refused as `orbit --m 0` refuses it) before dt > t_max.
 REFUSALS = {
     "product_and_count": (["--mass", "1e200", "--g", "1e200", "--p0", "1", "--q0", "1",
                            "--t-max", "1e10", "--dt", "1e-300"],
@@ -121,7 +121,8 @@ REFUSALS = {
                           "non-finite chart coordinate"),
     "zero_mass_and_step": (["--mass", "0", "--g", "3", "--p0", "1", "--q0", "1",
                             "--t-max", "1", "--dt", "2"],
-                           "m and g must be nonzero"),
+                           "degenerate orbit: m and g must both be nonzero "
+                           "for the chart q = -e/(m*g)"),
 }
 FLAGS.update({name: flags for name, (flags, _) in REFUSALS.items()})
 CORPUS += [(name, integrator, fmt, 2, f"error: {message}\n",
