@@ -16,7 +16,6 @@ command lines other than a well-formed ``orbit``/``act`` call load argparse.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import stat
 import sys
@@ -24,7 +23,7 @@ import types
 
 from . import group, orbit
 
-_POINT_FLAGS = {"orbit": ("--m", "--g", "--e", "--p"),  # required finite flags, in order
+_POINT_FLAGS = {"orbit": ("--m", "--g", "--e", "--p"),  # required number flags, in order
                 "act": ("--mass", "--g", "--t", "--h", "--p", "--q")}
 
 
@@ -36,21 +35,10 @@ def __getattr__(name: str):
     return sys.modules[f"{__package__}.{name}"]
 
 
-def _finite(text: str) -> float:
-    import argparse
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
-    return value
-
-
 def _numbers(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Declare each of ``names`` as a required finite-number flag, in order."""
+    """Declare each of ``names`` as a required number flag, in order."""
     for name in names:
-        parser.add_argument(name, type=_finite, required=True)
+        parser.add_argument(name, type=float, required=True)
 
 
 def _fmt(x: float) -> str:
@@ -64,8 +52,6 @@ def _fmt(x: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.cases < 1:
-        raise ValueError("--cases must be >= 1")
     # Through the module attribute, so a `cli.verify` set from outside is used.
     results = sys.modules[__name__].verify.run_verify(args.seed, args.cases)
     for r in results:
@@ -87,15 +73,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is None:
         write_trajectory(sys.stdout, cfg, args.format)
         return 0
-    regular = False
+    opened = None
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not /dev/full or a FIFO
+            opened = os.fstat(fh.fileno())  # of the file a link names, as written
             write_trajectory(fh, cfg, args.format)
     except BaseException as err:  # a write error, a failed worker or Ctrl-C
-        if regular:  # a file cut at a chunk boundary would read as a whole, shorter run
+        # A file cut at a chunk boundary would read as a whole, shorter run, so a
+        # regular one is removed, not the link to it; /dev/full or a FIFO is kept.
+        if opened is not None and stat.S_ISREG(opened.st_mode):
             with contextlib.suppress(OSError):
-                os.remove(args.out)
+                path = os.path.realpath(args.out)
+                if os.path.samestat(os.lstat(path), opened):
+                    os.remove(path)
         if isinstance(err, OSError):
             raise ValueError(f"cannot write {args.out!r}: {err}") from err
         raise
@@ -148,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
     """An ``orbit``/``act`` call as argparse reads it, or None unless each flag
     appears once by its exact name, as ``--flag=value`` or as ``--flag value``
-    with no leading "-" (read differently by argparse versions), all finite."""
+    with no leading "-" (read differently by argparse versions).  A non-finite
+    value is read too: the value class the handler builds refuses it."""
     flags = _POINT_FLAGS.get(argv[0] if argv else None)
     if flags is None:
         return None
@@ -162,7 +153,7 @@ def _point_query(argv: list[str]) -> types.SimpleNamespace | None:
             values[name] = float(text)
     except ValueError:
         return None
-    if len(values) < len(flags) or not all(map(math.isfinite, values.values())):
+    if len(values) < len(flags):
         return None
     return types.SimpleNamespace(subcommand=argv[0],
                                  **{name[2:]: value for name, value in values.items()})
