@@ -9,10 +9,9 @@ deliberately corrupted tables, not just the canonical one.
 Basis order is (P, E, M) = (0, 1, 2) throughout.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Mapping
+from numbers import Rational
 
 from .record import Record
 
@@ -60,17 +59,19 @@ class AlgebraElement(Record):
 class BracketTable(Record):
     """Dense structure-constant table: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    The table is an immutable nested tuple of floats, read as
-    ``constants[i][j][k]``.  Antisymmetry is an invariant of a well-formed
-    table but is deliberately not enforced here, so that the Jacobi grader
-    can report a breach as its own error.
+    The table is an immutable nested tuple, read as ``constants[i][j][k]``:
+    float and rational (int, Fraction) entries as given, so an exact table
+    stays exact, and other reals as floats.  Antisymmetry is an invariant of a
+    well-formed table but is deliberately not enforced here, so that the Jacobi
+    grader can report a breach as its own error.
     """
 
     def __init__(self, constants) -> None:
         shape_error = "structure constants must form an (n, n, n) array of numbers"
         try:
             n = len(constants)
-            table = tuple([tuple([tuple(map(float, row)) for row in plane]) for plane in constants])
+            table = tuple([tuple([tuple([c if type(c) is float or isinstance(c, Rational) else float(c)
+                                         for c in row]) for row in plane]) for plane in constants])
         except (TypeError, ValueError):
             raise ValueError(shape_error) from None
         for plane in table:
@@ -105,7 +106,8 @@ def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> Algebr
     constants = table.constants
     va = (a.c_P, a.c_E, a.c_M)
     vb = (b.c_P, b.c_E, b.c_M)
-    out = [0.0, 0.0, 0.0]
+    zero = a.c_P - a.c_P  # 0.0, or an exact zero for exact coefficients
+    out = [zero, zero, zero]
     for i in range(3):
         if va[i] == 0.0:
             continue

@@ -13,8 +13,6 @@ Importing this module loads ``group`` and ``orbit`` only; ``simulate`` loads
 command lines other than a well-formed ``orbit``/``act`` call load argparse.
 """
 
-from __future__ import annotations
-
 import contextlib
 import os
 import stat
@@ -35,7 +33,7 @@ def __getattr__(name: str):
     return sys.modules[f"{__package__}.{name}"]
 
 
-def _numbers(parser: argparse.ArgumentParser, *names: str) -> None:
+def _numbers(parser: "argparse.ArgumentParser", *names: str) -> None:
     """Declare each of ``names`` as a required number flag, in order."""
     for name in names:
         parser.add_argument(name, type=float, required=True)
@@ -51,7 +49,7 @@ def _fmt(x: float) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: "argparse.Namespace") -> int:
     # Through the module attribute, so a `cli.verify` set from outside is used.
     results = sys.modules[__name__].verify.run_verify(args.seed, args.cases)
     for r in results:
@@ -61,7 +59,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: "argparse.Namespace") -> int:
     # Through the module attribute, so a `cli.dynamics` set from outside is used.
     # The config checks its whole run, before anything is written.
     cfg = sys.modules[__name__].dynamics.SimulationConfig(
@@ -92,14 +90,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
+def cmd_orbit(args: "argparse.Namespace") -> int:
     ctx = orbit.OrbitContext(args.m, args.g)
     point = orbit.to_chart(ctx, orbit.CoadjointPoint(args.m, args.e, args.p))
     print(f"p={_fmt(point.p)} q={_fmt(point.q)}")
     return 0
 
 
-def cmd_act(args: argparse.Namespace) -> int:
+def cmd_act(args: "argparse.Namespace") -> int:
     ctx = orbit.OrbitContext(args.mass, args.g)
     moved = orbit.canonical_act(
         ctx, group.BaseElement(args.t, args.h), orbit.OrbitPoint(args.p, args.q)
@@ -108,7 +106,7 @@ def cmd_act(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse
     parser = argparse.ArgumentParser(
         prog="aristotle",

@@ -13,8 +13,6 @@ evolution drifts with (+m*g, 0).  Both are public so both signs stay pinned
 by tests.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from itertools import accumulate, repeat

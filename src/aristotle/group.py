@@ -16,8 +16,6 @@ The charts differ by the shift beta(t, h) = g*t*h/2, and the two cocycles
 differ by the coboundary of beta.
 """
 
-from __future__ import annotations
-
 import math
 
 from .record import Record
@@ -65,7 +63,7 @@ def cocycle(g: float, a: BaseElement, b: BaseElement) -> float:
 
 def cocycle_symmetric(g: float, a: BaseElement, b: BaseElement) -> float:
     """Cocycle of the canonical chart, antisymmetric under swapping a and b."""
-    return 0.5 * g * (a.h * b.t - a.t * b.h)
+    return g / 2 * (a.h * b.t - a.t * b.h)
 
 
 def canonical_shift(g: float, a: BaseElement) -> float:
@@ -74,7 +72,7 @@ def canonical_shift(g: float, a: BaseElement) -> float:
     Its coboundary beta(ab) - beta(a) - beta(b) equals
     cocycle(g, a, b) - cocycle_symmetric(g, a, b).
     """
-    return 0.5 * g * a.t * a.h
+    return g / 2 * a.t * a.h
 
 
 def multiply_extended(g: float, a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:

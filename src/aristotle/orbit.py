@@ -18,17 +18,14 @@ Sign conventions, fixed once and tested rather than left implicit:
 * under these choices the momentum map (P -> p, E -> -m*g*q, M -> m) is an
   anti-homomorphism: {map(P), map(E)} = -g*m = -map([P, E]).
 
-``algebra`` is not imported: ``AlgebraElement`` appears only in annotations,
-which are not evaluated, and the adjoint actions return ``type(x)``.
+``algebra`` is not imported: ``AlgebraElement`` appears only in string
+annotations, which are not evaluated, and the adjoint actions return ``type(x)``.
 """
-
-from __future__ import annotations
 
 import math
 import sys
 
 from . import group
-from .group import BaseElement
 from .record import Record
 
 
@@ -59,17 +56,17 @@ class OrbitContext(Record):
     def __init__(self, m: float, g: float) -> None:
         if not (math.isfinite(m) and math.isfinite(g)):
             raise ValueError("non-finite orbit parameter")
-        # The chart divides by m*g, so the product must survive in double
-        # precision: it is zero when m or g is, and can underflow to zero.
-        if (mg := m * g) == 0.0:
+        if m == 0.0 or g == 0.0:
             raise DegenerateOrbitError(
                 "degenerate orbit: m and g must both be nonzero "
                 "for the chart q = -e/(m*g)"
             )
-        # An overflowed m*g would make every chart q = -e/(m*g) read as zero.
-        if math.isinf(mg):
+        # The chart divides by m*g, so the product must survive in double
+        # precision.  An overflowed m*g would make every q = -e/(m*g) read as zero.
+        if math.isinf(mg := m * g):
             raise ValueError("non-finite orbit parameter product m*g")
-        # A subnormal m*g has under 53 significant bits: off by up to a factor of 2.
+        # A subnormal m*g has under 53 significant bits, off by up to a factor
+        # of 2, and one that underflowed to zero has none.
         if abs(mg) < sys.float_info.min:
             raise ValueError("subnormal orbit parameter product m*g")
         self.__dict__.update(m=m, g=g)
@@ -110,22 +107,22 @@ class OrbitTangent(Record):
         self.__dict__.update(dp=dp, dq=dq)
 
 
-def pairing(f: CoadjointPoint, x: AlgebraElement) -> float:
+def pairing(f: CoadjointPoint, x: "AlgebraElement") -> float:
     """Duality pairing m*dxi + e*dt + p*dx."""
     return f.m * x.c_M + f.e * x.c_E + f.p * x.c_P
 
 
-def coadjoint_act(g: float, a: BaseElement, f: CoadjointPoint) -> CoadjointPoint:
+def coadjoint_act(g: float, a: group.BaseElement, f: CoadjointPoint) -> CoadjointPoint:
     """Dual action of the translation a; the m component is untouched."""
     return CoadjointPoint(f.m, f.e - f.m * g * a.h, f.p + f.m * g * a.t)
 
 
-def adjoint_act(g: float, a: BaseElement, x: AlgebraElement) -> AlgebraElement:
+def adjoint_act(g: float, a: group.BaseElement, x: "AlgebraElement") -> "AlgebraElement":
     """Conjugation of the algebra by the lift of a, in closed form."""
     return type(x)(x.c_P, x.c_E, x.c_M + g * (a.h * x.c_E - a.t * x.c_P))
 
 
-def adjoint_act_via_conjugation(g: float, a: BaseElement, x: AlgebraElement) -> AlgebraElement:
+def adjoint_act_via_conjugation(g: float, a: group.BaseElement, x: "AlgebraElement") -> "AlgebraElement":
     """Conjugation of the algebra computed through the group product.
 
     Valid without any small-parameter limit: conjugation fixes the (t, h)
@@ -135,7 +132,7 @@ def adjoint_act_via_conjugation(g: float, a: BaseElement, x: AlgebraElement) -> 
     group law whose cocycle disagrees with the dual action.
     """
     lift = group.ExtendedElement(x.c_M, x.c_E, x.c_P)
-    conjugated = group.conjugate_extended(g, group.ExtendedElement(0.0, a.t, a.h), lift)
+    conjugated = group.conjugate_extended(g, group.ExtendedElement(0, a.t, a.h), lift)
     return type(x)(conjugated.h, conjugated.t, conjugated.xi)
 
 
@@ -153,12 +150,12 @@ def from_chart(ctx: OrbitContext, pt: OrbitPoint) -> CoadjointPoint:
     return CoadjointPoint(ctx.m, -(ctx.m * ctx.g) * pt.q, pt.p)
 
 
-def canonical_act(ctx: OrbitContext, a: BaseElement, pt: OrbitPoint) -> OrbitPoint:
+def canonical_act(ctx: OrbitContext, a: group.BaseElement, pt: OrbitPoint) -> OrbitPoint:
     """The dual action read through the chart: a pure translation of (p, q)."""
     return OrbitPoint(pt.p + ctx.m * ctx.g * a.t, pt.q + a.h)
 
 
-def comomentum(ctx: OrbitContext, x: AlgebraElement) -> AffineObservable:
+def comomentum(ctx: OrbitContext, x: "AlgebraElement") -> AffineObservable:
     """Momentum map: the observable generating the action of x on the orbit.
 
     Linear extension of P -> p, E -> -m*g*q, M -> m (the central generator

@@ -24,8 +24,6 @@ Coordinates are drawn from [-10, 10], the acceleration from
 {1, -1, 2, -2, 9.81}, and orbit masses from +/-[0.5, 10].
 """
 
-from __future__ import annotations
-
 import random
 from collections.abc import Callable
 from dataclasses import dataclass

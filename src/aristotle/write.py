@@ -110,7 +110,10 @@ def write_trajectory(fh: io.TextIOBase, cfg: dynamics.SimulationConfig, fmt: str
     Forked workers format the rows on every CPU the process may use, unless
     there is one CPU, one chunk, no fork or a failed one, or no descriptor
     encoding ASCII as is: the same bytes either way, in memory that does not
-    grow with the rows."""
+    grow with the rows.  A fmt other than "csv" or "json" is refused before
+    anything is written."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected one of ('csv', 'json')")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, -(-dynamics.sample_count(cfg) // _CHUNK_ROWS))
     fh.write("t,p,q,H\n" if fmt == "csv" else "[")

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -697,7 +698,8 @@ class TestSubprocess:
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.cli\n"
                 "print(sorted({'aristotle.verify', 'aristotle.dynamics', 'aristotle.algebra',"
-                " 'aristotle.write', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+                " 'aristotle.write', 'dataclasses', 'inspect', 'typing', '__future__'}"
+                " & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -939,6 +941,16 @@ def test_interrupted_write_stops_its_workers(use_cpus, alarm, tmp_path):
     size = target.stat().st_size
     time.sleep(0.5)
     assert target.stat().st_size == size > 0
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", "", None])
+def test_unknown_format_is_refused_before_writing(fmt):
+    # Once written as JSON; the CLI's --format choices never pass one.
+    cfg = dynamics.SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=r"^unknown format .*; expected one of \('csv', 'json'\)$"):
+        write.write_trajectory(fh, cfg, fmt)
+    assert fh.getvalue() == ""
 
 
 @needs_dev_full

@@ -163,9 +163,11 @@ class TestChart:
             OrbitContext(5.0, 0.0)
 
     def test_degenerate_orbit_underflowed_product(self):
-        # m and g nonzero but m*g underflows: the chart divisor is gone.
-        with pytest.raises(DegenerateOrbitError):
+        # m and g nonzero but m*g underflows: the chart divisor is gone, but the
+        # orbit is not a point, so the refusal is the subnormal product's.
+        with pytest.raises(ValueError, match=r"^subnormal orbit parameter product m\*g$") as err:
             OrbitContext(1e-300, 1e-300)
+        assert not isinstance(err.value, DegenerateOrbitError)
 
     def test_overflowed_product_is_rejected(self):
         # m and g finite but m*g overflows: q = -e/(m*g) would read as -0.
