@@ -61,16 +61,17 @@ class BracketTable(Record):
 
     The table is an immutable nested tuple, read as ``constants[i][j][k]``:
     float and rational (int, Fraction) entries as given, so an exact table
-    stays exact, and other reals as floats.  Antisymmetry is an invariant of a
-    well-formed table but is deliberately not enforced here, so that the Jacobi
-    grader can report a breach as its own error.
+    stays exact, and other reals as floats.  Text is not a number: a string or
+    bytes entry is refused, and so is a string row.  Antisymmetry is an
+    invariant of a well-formed table but is deliberately not enforced here, so
+    that the Jacobi grader can report a breach as its own error.
     """
 
     def __init__(self, constants) -> None:
         shape_error = "structure constants must form an (n, n, n) array of numbers"
         try:
             n = len(constants)
-            table = tuple([tuple([tuple([c if type(c) is float or isinstance(c, Rational) else float(c)
+            table = tuple([tuple([tuple([c if type(c) is float or isinstance(c, Rational) else _real(c)
                                          for c in row]) for row in plane]) for plane in constants])
         except (TypeError, ValueError):
             raise ValueError(shape_error) from None
@@ -90,6 +91,13 @@ class BracketTable(Record):
             x == -y for i, plane in enumerate(c) for j, row in enumerate(plane)
             for x, y in zip(row, c[j][i])
         )
+
+
+def _real(c) -> float:
+    """float(c) for a number; float would also parse text such as '0' or b'1'."""
+    if isinstance(c, (str, bytes, bytearray, memoryview)):
+        raise TypeError
+    return float(c)
 
 
 def aristotle_bracket_table(g: float) -> BracketTable:

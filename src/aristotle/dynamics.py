@@ -32,11 +32,10 @@ class SimulationConfig(OrbitContext):
 
     def __init__(self, m: float, g: float, p0: float, q0: float, t_max: float,
                  dt: float, integrator: str = "exact") -> None:
-        for name, value in (("m", m), ("g", g), ("p0", p0), ("q0", q0),
-                            ("t_max", t_max), ("dt", dt)):
+        OrbitContext.__init__(self, m, g)  # m and g before every other check
+        for name, value in (("p0", p0), ("q0", q0), ("t_max", t_max), ("dt", dt)):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite configuration value {name}")
-        OrbitContext.__init__(self, m, g)  # m*g before the grid, integrator and sample count
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if t_max < 0.0:

@@ -382,6 +382,15 @@ def _check_hamiltonian_field_convention(rng: random.Random) -> float:
     return _violation(((x_space, x_time, x_const), expected, _absdiff))
 
 
+def _check_momentum_map_realizes_pairing(rng: random.Random) -> float:
+    """The momentum map of x, read at the chart point of f, is the pairing <f, x>."""
+    ctx = _context(rng)
+    f = orbit.CoadjointPoint(ctx.m, _coord(rng), _coord(rng))
+    x = _algebra_element(rng)
+    lhs = orbit.comomentum(ctx, x).value(orbit.to_chart(ctx, f))
+    return _violation((lhs, orbit.pairing(f, x), _reldiff))
+
+
 # ---------------------------------------------------------------------------
 # dynamics properties
 
@@ -467,6 +476,14 @@ def _check_hamiltonian_p_independence(rng: random.Random) -> float:
     return _violation((reference, other, _absdiff))
 
 
+def _check_hamiltonian_is_time_momentum(rng: random.Random) -> float:
+    """H = m*g*q is minus the momentum of time translation: no kinetic term."""
+    ctx = _context(rng)
+    pt = _orbit_point(rng)
+    time = orbit.comomentum(ctx, algebra.AlgebraElement(0.0, 1.0, 0.0))
+    return _violation((dynamics.hamiltonian(ctx, pt), -time.value(pt), _absdiff))
+
+
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -519,6 +536,9 @@ PROPERTIES: tuple[Property, ...] = (
     Property("generator_finite_difference", FINITE_DIFF_TOL, _check_generator_finite_difference),
     Property("hamiltons_equations", EXACT, _check_hamiltons_equations),
     Property("hamiltonian_p_independence", EXACT, _check_hamiltonian_p_independence),
+    # the momentum map is the pairing, and H is minus its time component
+    Property("momentum_map_realizes_pairing", FP_TOL, _check_momentum_map_realizes_pairing),
+    Property("hamiltonian_is_time_momentum", EXACT, _check_hamiltonian_is_time_momentum),
 )
 
 

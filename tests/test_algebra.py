@@ -4,6 +4,8 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -116,8 +118,12 @@ class TestTable:
             assert type(y) is BracketTable and y == table
 
     def test_rejects_non_cubic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
             BracketTable(np.zeros((3, 3, 2)))
+
+    def test_rejects_a_plane_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
+            BracketTable(np.zeros((3, 2, 3)))
 
     def test_rejects_non_finite(self):
         constants = np.zeros((3, 3, 3))
@@ -141,12 +147,30 @@ class TestTable:
         with pytest.raises(ValueError):
             BracketTable(constants)
 
-    @pytest.mark.parametrize("entry", ["P", None])
+    @pytest.mark.parametrize("entry", ["P", None, "0", "1.5", b"0", bytearray(b"0"), memoryview(b"0")])
     def test_rejects_non_numeric_entry(self, entry):
         constants = np.zeros((3, 3, 3)).tolist()
         constants[0][1][2] = entry
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
             BracketTable(constants)
+
+    @pytest.mark.parametrize("constants", [
+        [["000", "000", "000"]] * 3,  # string rows, each iterated into three '0'
+        ["000"] * 3,  # string planes
+        "000",  # a string table
+        np.zeros((3, 3, 3)).astype(str),  # numpy strings
+    ], ids=["string_rows", "string_planes", "string_table", "numpy_strings"])
+    def test_rejects_text_that_parses_as_numbers(self, constants):
+        with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
+            BracketTable(constants)
+
+    @pytest.mark.parametrize("entry", [np.float32(0.25), np.int64(2), np.bool_(True), Fraction(1, 3), 2])
+    def test_numbers_other_than_floats_are_kept_or_converted(self, entry):
+        constants = np.zeros((3, 3, 3)).tolist()
+        constants[0][1][2] = entry
+        stored = BracketTable(constants).constants[0][1][2]
+        assert stored == entry
+        assert type(stored) is (type(entry) if isinstance(entry, Rational) else float)
 
 
 class TestJacobi:

@@ -312,7 +312,7 @@ class TestSimulate:
     def test_non_finite_flag(self, capsys):
         code, out, err = run_main(["simulate", "--mass", "nan", "--g", "3", "--p0", "1",
                                    "--q0", "5", "--dt", "0.5", "--t-max", "4"], capsys)
-        assert (code, out, err) == (2, "", "error: non-finite configuration value m\n")
+        assert (code, out, err) == (2, "", "error: non-finite orbit parameter\n")
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -362,6 +362,18 @@ def test_simulate_refuses_a_degenerate_orbit_as_orbit_does(mass, g, capsys):
     assert run_main(simulate, capsys) == run_main(point, capsys) == (2, "", DEGENERATE)
 
 
+@pytest.mark.parametrize("dt", ["0.5", "inf", "nan", "-1"])
+@pytest.mark.parametrize("mass, g", [("inf", "2"), ("1e400", "2"), ("nan", "2"), ("5", "-inf"),
+                                     ("0", "2"), ("1e200", "1e200"), ("1e-200", "1e-200")])
+def test_simulate_refuses_its_orbit_as_orbit_does_before_its_step(mass, g, dt, capsys):
+    simulate = ["simulate", f"--mass={mass}", f"--g={g}", "--p0", "0", "--q0", "0",
+                "--t-max", "1", f"--dt={dt}"]
+    point = ["orbit", f"--m={mass}", f"--g={g}", "--e", "1", "--p", "1"]
+    expected = run_main(point, capsys)
+    assert expected[:2] == (2, "") and expected[2].startswith("error: ")
+    assert run_main(simulate, capsys) == expected
+
+
 def test_every_point_query_is_finite_or_refused(capsys):
     # Each flag a grid value or +-10**U(-320, 308.2): subnormal, huge and
     # zero orbit parameters, and chart points near overflow.
@@ -393,7 +405,7 @@ NUMBER_FLAGS = {
     "act": [("--mass", "5", "orbit parameter"), ("--g", "2", "orbit parameter"),
             ("--t", "3", "group coordinate"), ("--h", "4", "group coordinate"),
             ("--p", "1", "chart coordinate"), ("--q", "2", "chart coordinate")],
-    "simulate": [("--mass", "2", "configuration value m"), ("--g", "3", "configuration value g"),
+    "simulate": [("--mass", "2", "orbit parameter"), ("--g", "3", "orbit parameter"),
                  ("--p0", "1", "configuration value p0"), ("--q0", "5", "configuration value q0"),
                  ("--t-max", "4", "configuration value t_max"),
                  ("--dt", "0.5", "configuration value dt")],

@@ -52,7 +52,7 @@ def test_traced_verify_call_reaches_the_patched_cli_verify(layers, tmp_path):
 
     pkg = types.SimpleNamespace(algebra=algebra, group=group, orbit=orbit,
                                 dynamics=dynamics, verify=verify, cli=cli)
-    call = Call("verify", ("verify", "--seed", "1", "--cases", "2"), 37 * 2,
+    call = Call("verify", ("verify", "--seed", "1", "--cases", "2"), len(verify.PROPERTIES) * 2,
                 {"seed": 1, "cases": 2})
     tracer = layers.Tracer()
     _, problems = layers.run_pass(pkg, [call], str(tmp_path), tracer)

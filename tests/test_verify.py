@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from aristotle import group, verify
+from aristotle import dynamics, group, orbit, verify
 from aristotle.group import ExtendedElement
 
 
@@ -124,7 +124,7 @@ class TestNaNViolationMutation:
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL cocycle_identity max_violation=nan" in lines
         assert "FAIL cocycle_coboundary max_violation=nan" in lines
-        assert lines[-1] == "37 properties, 2 failed (seed=1, cases=20)"
+        assert lines[-1] == "39 properties, 2 failed (seed=1, cases=20)"
 
     def test_nan_stays_the_worst_case(self, monkeypatch):
         violations = iter([0.5, math.nan, 2.0])
@@ -223,3 +223,25 @@ class TestMovingPositionMutation:
         by_name = result_map(verify.run_verify(seed=42, cases=50))
         assert not by_name["static_position"].passed
         assert not by_name["generator_finite_difference"].passed
+
+
+hamiltonian, pairing = dynamics.hamiltonian, orbit.pairing
+
+
+@pytest.mark.parametrize("module, name, mutant, failed", [
+    (dynamics, "hamiltonian", lambda ctx, pt: -hamiltonian(ctx, pt), "hamiltonian_is_time_momentum"),
+    (dynamics, "hamiltonian", lambda ctx, pt: 2.0 * hamiltonian(ctx, pt),
+     "hamiltonian_is_time_momentum"),
+    (dynamics, "hamiltonian", lambda ctx, pt: hamiltonian(ctx, pt) + 1.0,
+     "hamiltonian_is_time_momentum"),
+    (orbit, "pairing", lambda f, x: -pairing(f, x), "momentum_map_realizes_pairing"),
+    (orbit, "pairing", lambda f, x: 2.0 * pairing(f, x), "momentum_map_realizes_pairing"),
+], ids=["hamiltonian_negated", "hamiltonian_doubled", "hamiltonian_plus_one",
+        "pairing_negated", "pairing_doubled"])
+def test_scaled_hamiltonian_or_pairing_is_killed(module, name, mutant, failed, monkeypatch):
+    # The energy properties compare H with cfg.energy, which calls the same
+    # function, and the pairing properties are invariant under scaling: only
+    # the identities that tie H and the pairing to the momentum map see these.
+    monkeypatch.setattr(module, name, mutant)
+    results = verify.run_verify(seed=42, cases=20)
+    assert [r.name for r in results if not r.passed] == [failed]

@@ -16,11 +16,11 @@ from aristotle import cli
 # (argv after "verify", exit code, number of FAIL lines, sha256 of stdout)
 CORPUS = [
     (["--seed", "1", "--cases", "200"], 0, 0,
-     "8d8c5a072b0ef166f763091acd0fb0b159c207eb66729ef8b9b6b4b901628f1e"),
+     "2a6155733eda24eeeb8ed508a0ba45131dd4b9e905f84d2eacab17b5972c7cd1"),
     (["--seed", "2", "--cases", "200"], 0, 0,
-     "99dacc48b3d22d98188306eb07f19cd4d830f847138544cba26c37fbe8e06966"),
+     "f012d82fc5a9899209e8ca58825c9c37fdafab206fde10203682ae81cfcace57"),
     (["--seed", "807443437", "--cases", "3000"], 1, 1,
-     "7dec1abf0e709086a94752ea34250a84bb7221cfb75bed4b04f5e0ce66eb3c14"),
+     "80c5d579e49a002e264a53962efc5f3565f20a71940422c1907cd60ebbf41d6c"),
 ]
 
 
