@@ -62,17 +62,16 @@ class BracketTable(Record):
     The table is an immutable nested tuple, read as ``constants[i][j][k]``:
     float and rational (int, Fraction) entries as given, so an exact table
     stays exact, and other reals as floats.  Text is not a number: a string or
-    bytes entry is refused, and so is a string row.  Antisymmetry is an
-    invariant of a well-formed table but is deliberately not enforced here, so
-    that the Jacobi grader can report a breach as its own error.
+    bytes entry is refused, and so is a string or bytes-like row.  Antisymmetry
+    is an invariant of a well-formed table but is deliberately not enforced
+    here, so that the Jacobi grader can report a breach as its own error.
     """
 
     def __init__(self, constants) -> None:
         shape_error = "structure constants must form an (n, n, n) array of numbers"
         try:
             n = len(constants)
-            table = tuple([tuple([tuple([c if type(c) is float or isinstance(c, Rational) else _real(c)
-                                         for c in row]) for row in plane]) for plane in constants])
+            table = tuple([tuple(map(_row, plane)) for plane in constants])
         except (TypeError, ValueError):
             raise ValueError(shape_error) from None
         for plane in table:
@@ -98,6 +97,14 @@ def _real(c) -> float:
     if isinstance(c, (str, bytes, bytearray, memoryview)):
         raise TypeError
     return float(c)
+
+
+def _row(row) -> tuple:
+    """A table row as a tuple of its entries.  A bytes-like row is refused: it
+    would iterate into its byte values."""
+    if isinstance(row, (bytes, bytearray, memoryview)):
+        raise TypeError
+    return tuple([c if type(c) is float or isinstance(c, Rational) else _real(c) for c in row])
 
 
 def aristotle_bracket_table(g: float) -> BracketTable:

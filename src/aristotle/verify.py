@@ -120,6 +120,11 @@ def _violation(*comparisons: tuple) -> float:
     return worst
 
 
+def _central(plus: orbit.OrbitPoint, minus: orbit.OrbitPoint, step: float) -> tuple[float, float]:
+    """The central difference (dp, dq) of two points a step either side."""
+    return ((plus.p - minus.p) / (2.0 * step), (plus.q - minus.q) / (2.0 * step))
+
+
 # ---------------------------------------------------------------------------
 # algebra properties
 
@@ -141,7 +146,8 @@ def _check_bracket_bilinearity(rng: random.Random) -> float:
 
 
 def _check_jacobi_identity(rng: random.Random) -> float:
-    return algebra.jacobi_violation(algebra.aristotle_bracket_table(_gravity(rng)))
+    grade = algebra.jacobi_violation(algebra.aristotle_bracket_table(_gravity(rng)))
+    return _violation((grade, 0.0, _absdiff))
 
 
 def _check_vector_space_laws(rng: random.Random) -> float:
@@ -155,7 +161,7 @@ def _check_dimension_consistency(rng: random.Random) -> float:
     # Deliberate mismatches must be caught, not waved through.
     bad_e = algebra.pairing_dimension_check({"e": algebra.Dimension(1, 0, 0)})
     bad_g = algebra.pairing_dimension_check({"g": algebra.Dimension(0, 0, 0)})
-    return 0.0 if (ok and not bad_e and not bad_g) else 1.0
+    return _violation(((ok, bad_e, bad_g), (1.0, 0.0, 0.0), _absdiff))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +339,8 @@ def _check_canonical_action_jacobian(rng: random.Random) -> float:
     def moved(dp: float, dq: float) -> orbit.OrbitPoint:
         return orbit.canonical_act(ctx, a, orbit.OrbitPoint(pt.p + dp, pt.q + dq))
 
-    j_pp = (moved(step, 0.0).p - moved(-step, 0.0).p) / (2.0 * step)
-    j_pq = (moved(0.0, step).p - moved(0.0, -step).p) / (2.0 * step)
-    j_qp = (moved(step, 0.0).q - moved(-step, 0.0).q) / (2.0 * step)
-    j_qq = (moved(0.0, step).q - moved(0.0, -step).q) / (2.0 * step)
+    j_pp, j_qp = _central(moved(step, 0.0), moved(-step, 0.0), step)
+    j_pq, j_qq = _central(moved(0.0, step), moved(0.0, -step), step)
     det = j_pp * j_qq - j_pq * j_qp
     return _violation(((j_pp, j_pq, j_qp, j_qq, det), (1.0, 0.0, 0.0, 1.0, 1.0), _absdiff))
 
@@ -395,13 +399,15 @@ def _check_momentum_map_realizes_pairing(rng: random.Random) -> float:
 # dynamics properties
 
 def _check_static_position(rng: random.Random) -> float:
-    """Every sampled q is the q of the closed-form flow at the sample's time."""
+    """Every sampled q is the q of the closed-form flow at the sample's time,
+    and the run has sample_count rows, the count its writer cuts chunks by."""
     comparisons = []
     for integrator in dynamics.INTEGRATORS:
         cfg = _simulation_config(rng, integrator)
         start = orbit.OrbitPoint(cfg.p0, cfg.q0)
         flow_q = tuple(dynamics.evolve_exact(cfg, start, t).q for t, _ in dynamics.sample_rows(cfg))
         comparisons.append((flow_q, repeat(cfg.q0), _absdiff))  # q stays q0 on every sample
+        comparisons.append((len(flow_q), dynamics.sample_count(cfg), _absdiff))
     return _violation(*comparisons)
 
 
@@ -434,25 +440,19 @@ def _check_generator_finite_difference(rng: random.Random) -> float:
     ctx = _context(rng)
     pt = _orbit_point(rng)
     s = FINITE_DIFF_STEP
-
-    def central(plus: orbit.OrbitPoint, minus: orbit.OrbitPoint) -> tuple[float, float]:
-        return ((plus.p - minus.p) / (2.0 * s), (plus.q - minus.q) / (2.0 * s))
-
     # Left generators: flow of exp(-s X).
-    de = central(
+    de = _central(
         orbit.canonical_act(ctx, group.BaseElement(-s, 0.0), pt),
-        orbit.canonical_act(ctx, group.BaseElement(s, 0.0), pt),
+        orbit.canonical_act(ctx, group.BaseElement(s, 0.0), pt), s,
     )
-    dp_ = central(
+    dp_ = _central(
         orbit.canonical_act(ctx, group.BaseElement(0.0, -s), pt),
-        orbit.canonical_act(ctx, group.BaseElement(0.0, s), pt),
+        orbit.canonical_act(ctx, group.BaseElement(0.0, s), pt), s,
     )
     gen_e = dynamics.generator_left(ctx, "E")
     gen_p = dynamics.generator_left(ctx, "P")
     # Forward-time drift from the closed-form flow.
-    dt_ = central(
-        dynamics.evolve_exact(ctx, pt, s), dynamics.evolve_exact(ctx, pt, -s)
-    )
+    dt_ = _central(dynamics.evolve_exact(ctx, pt, s), dynamics.evolve_exact(ctx, pt, -s), s)
     drift = dynamics.physical_drift(ctx)
     return _violation(((de, dp_, dt_, drift), (gen_e, gen_p, drift, (-gen_e.dp, -gen_e.dq)), _absdiff))
 

@@ -159,7 +159,11 @@ class TestTable:
         ["000"] * 3,  # string planes
         "000",  # a string table
         np.zeros((3, 3, 3)).astype(str),  # numpy strings
-    ], ids=["string_rows", "string_planes", "string_table", "numpy_strings"])
+        [[b"000"] * 3] * 3,  # bytes rows, each iterated into three 48s
+        [[bytearray(3)] * 3] * 3,
+        [[memoryview(b"000")] * 3] * 3,
+    ], ids=["string_rows", "string_planes", "string_table", "numpy_strings",
+            "bytes_rows", "bytearray_rows", "memoryview_rows"])
     def test_rejects_text_that_parses_as_numbers(self, constants):
         with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
             BracketTable(constants)

@@ -1,11 +1,16 @@
 """Verification engine: determinism, report semantics, and mutation killing."""
 
+import ast
+import inspect
 import math
+import types
+from functools import partial
 
 import pytest
 
-from aristotle import dynamics, group, orbit, verify
+from aristotle import algebra, dynamics, group, orbit, verify
 from aristotle.group import ExtendedElement
+from aristotle.record import Record
 
 
 def result_map(results):
@@ -163,12 +168,20 @@ class TestNaNInOneComparedValue:
         assert math.isnan(result.max_violation)
 
 
-def test_checks_compare_only_through_violation():
-    """No check folds or measures its own values: each compares through
-    verify._violation, where a NaN anywhere is the worst."""
-    import ast
-    import inspect
+def _own_nodes(function):
+    """The nodes of a function's body, without those of functions nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
+
+def test_checks_compare_only_through_violation():
+    """No check folds, measures or scores its own values: each returns a
+    verify._violation call, where a NaN anywhere is the worst and a negative
+    or signed verdict is a difference like any other."""
     tree = ast.parse(inspect.getsource(verify))
     checks = [node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
@@ -177,6 +190,12 @@ def test_checks_compare_only_through_violation():
         for node in ast.walk(check):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("abs", "max"), (check.name, node.lineno)
+        returns = [node for node in _own_nodes(check) if isinstance(node, ast.Return)]
+        assert returns, check.name
+        for node in returns:
+            assert isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name), (
+                check.name, node.lineno)
+            assert node.value.func.id == "_violation", (check.name, node.lineno)
 
 
 class TestEnergyMutation:
@@ -245,3 +264,105 @@ def test_scaled_hamiltonian_or_pairing_is_killed(module, name, mutant, failed, m
     monkeypatch.setattr(module, name, mutant)
     results = verify.run_verify(seed=42, cases=20)
     assert [r.name for r in results if not r.passed] == [failed]
+
+
+MUTATIONS = {"negated": lambda x: -x, "doubled": lambda x: 2 * x, "plus_one": lambda x: x + 1}
+
+# Mutants that no check can kill: each mutated value is 0 wherever verify
+# reads it (the canonical table has no c_P or c_E bracket, an affine
+# observable's bracket is constant, a static system does not drift in q, and
+# a Lie algebra's Jacobi defect is 0), and a negated or doubled 0 is still 0.
+EQUIVALENT_MUTANTS = {
+    "bracket.c_P negated", "bracket.c_P doubled", "bracket.c_E negated", "bracket.c_E doubled",
+    "poisson_bracket.a_p negated", "poisson_bracket.a_p doubled",
+    "poisson_bracket.a_q negated", "poisson_bracket.a_q doubled",
+    "physical_drift.dq negated", "physical_drift.dq doubled",
+    "jacobi_violation negated", "jacobi_violation doubled",
+}
+
+
+def _numbers(result):
+    """(label, value) of each item of a result: a record's fields, a tuple's
+    items, or the result itself."""
+    if isinstance(result, Record):
+        return list(vars(result).items())
+    if isinstance(result, tuple):
+        return [(str(i), x) for i, x in enumerate(result)]
+    return [("", result)]
+
+
+def _changed(result, index, change):
+    """result with its index-th item changed, rebuilt through its class."""
+    if isinstance(result, Record):
+        fields = dict(vars(result))
+        name = list(fields)[index]
+        return type(result)(**{**fields, name: change(fields[name])})
+    if isinstance(result, tuple):
+        return (*result[:index], change(result[index]), *result[index + 1:])
+    return change(result)
+
+
+def _on_results(fn, apply):
+    """fn with apply run on its result, or on each item its generator yields."""
+    def wrapped(*args):
+        result = fn(*args)
+        return map(apply, result) if isinstance(result, types.GeneratorType) else apply(result)
+    return wrapped
+
+
+def _mutation_sites(monkeypatch, functions):
+    """{(module, name, fn): {index: label}} of every number that each called
+    function returns or yields during an unmutated verify run."""
+    sites = {}
+
+    def record(key, result):
+        found = sites.setdefault(key, {})
+        for index, (label, x) in enumerate(_numbers(result)):
+            if isinstance(x, (int, float)) and not isinstance(x, bool):
+                found[index] = f"{key[1]}.{label}" if label else key[1]
+        return result
+
+    with monkeypatch.context() as patch:
+        for key in functions:
+            patch.setattr(key[0], key[1], _on_results(key[2], partial(record, key)))
+        verify.run_verify(3, 5)
+    return sites
+
+
+def test_verify_kills_every_mutant_but_the_equivalent_ones(monkeypatch):
+    """Each number that a public function of algebra, group, orbit or dynamics
+    returns, negated, doubled or increased by 1, fails a property or makes
+    the run raise, unless the mutant is equivalent on every input verify
+    draws.  A new public function joins the gate by itself."""
+    functions = [(module, name, fn) for module in (algebra, group, orbit, dynamics)
+                 for name, fn in inspect.getmembers(module, inspect.isfunction)
+                 if fn.__module__ == module.__name__ and not name.startswith("_")]
+    sites = _mutation_sites(monkeypatch, functions)
+    # Nothing verify runs calls these: the dimension check reads the symbol
+    # table that dimension_of looks up, and the dynamics checks read
+    # sample_rows, of which simulate is the list.
+    assert {name for _, name, _ in functions} - {name for _, name, _ in sites} == {
+        "dimension_of", "simulate"}
+    survivors = set()
+    for (module, name, fn), found in sites.items():
+        for index, label in found.items():
+            for mutation, change in MUTATIONS.items():
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, name,
+                                  _on_results(fn, partial(_changed, index=index, change=change)))
+                    try:
+                        killed = not all(r.passed for r in verify.run_verify(3, 5))
+                    except Exception:  # a refused or malformed value: the run fails
+                        killed = True
+                if not killed:
+                    survivors.add(f"{label} {mutation}")
+    assert survivors == EQUIVALENT_MUTANTS
+
+
+def test_negative_jacobi_grade_fails(monkeypatch):
+    """A grade below 0 is a defect too: the check scores it through
+    _violation, not as the worst of it and 0."""
+    monkeypatch.setattr(algebra, "jacobi_violation", lambda table: -1.0)
+    result = result_map(verify.run_verify(1, 20))["jacobi_identity"]
+    assert not result.passed
+    assert result.max_violation == 1.0
