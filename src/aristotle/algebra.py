@@ -215,17 +215,17 @@ def pairing_dimension_check(overrides: Mapping[str, Dimension] | None = None) ->
     dimensionless).  ``overrides`` substitutes dimensions by symbol name,
     which is how the deliberate-mismatch checks are expressed.
     """
-    dims = dict(_SYMBOL_DIMENSIONS)
-    if overrides:
-        dims.update(overrides)
-    action = dims["action"]
+    def dim(symbol: str) -> Dimension:
+        return overrides[symbol] if overrides and symbol in overrides else dimension_of(symbol)
+
+    action = dim("action")
     pairings_ok = (
-        dims["m"] * dims["xi"] == action
-        and dims["e"] * dims["t"] == action
-        and dims["p"] * dims["x"] == action
+        dim("m") * dim("xi") == action
+        and dim("e") * dim("t") == action
+        and dim("p") * dim("x") == action
     )
-    p_dim = dims["x"].inverse()
-    e_dim = dims["t"].inverse()
-    m_dim = dims["xi"].inverse()
-    bracket_ok = p_dim * e_dim == dims["g"] * m_dim
+    p_dim = dim("x").inverse()
+    e_dim = dim("t").inverse()
+    m_dim = dim("xi").inverse()
+    bracket_ok = p_dim * e_dim == dim("g") * m_dim
     return pairings_ok and bracket_ok

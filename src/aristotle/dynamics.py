@@ -45,11 +45,10 @@ class SimulationConfig(OrbitContext):
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
         self.__dict__.update(p0=p0, q0=q0, t_max=t_max, dt=dt, integrator=integrator)
-        # Rounding is monotone, so every p lies between p0 and the last sample.
+        # Rounding is monotone, so every p lies between p0 and the last sample,
+        # and H = m*g*q0 is the same on every sample.
         for _, p in sample_rows(self, sample_count(self) - 1):
-            OrbitPoint(p, q0)
-        if not math.isfinite(self.energy):
-            raise ValueError("non-finite energy H = m*g*q0")
+            hamiltonian(self, OrbitPoint(p, q0))
 
     @property
     def energy(self) -> float:
@@ -59,7 +58,10 @@ class SimulationConfig(OrbitContext):
 
 def hamiltonian(ctx: OrbitContext, pt: OrbitPoint) -> float:
     """Full Hamiltonian m*g*q: gravitational potential energy, no kinetic term."""
-    return ctx.m * ctx.g * pt.q
+    energy = ctx.m * ctx.g * pt.q
+    if not math.isfinite(energy):
+        raise ValueError("non-finite energy H = m*g*q")
+    return energy
 
 
 def evolve_exact(ctx: OrbitContext, pt: OrbitPoint, t: float) -> OrbitPoint:

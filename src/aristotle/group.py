@@ -53,26 +53,38 @@ def inverse_base(a: BaseElement) -> BaseElement:
 
 def spacetime_act(a: BaseElement, t0: float, x0: float) -> tuple[float, float]:
     """Move the event (t0, x0) by the translation a."""
-    return (t0 + a.t, x0 + a.h)
+    t, x = t0 + a.t, x0 + a.h
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise ValueError("non-finite event coordinate")
+    return (t, x)
 
 
-def cocycle(g: float, a: BaseElement, b: BaseElement) -> float:
+def cocycle(g: float, a: BaseElement | ExtendedElement, b: BaseElement | ExtendedElement) -> float:
     """Central twist g*h*t' picked up by the polarized product of lifts of a, b."""
-    return g * a.h * b.t
+    twist = g * a.h * b.t
+    if not math.isfinite(twist):
+        raise ValueError("non-finite group coordinate")
+    return twist
 
 
-def cocycle_symmetric(g: float, a: BaseElement, b: BaseElement) -> float:
+def cocycle_symmetric(g: float, a: BaseElement | ExtendedElement, b: BaseElement | ExtendedElement) -> float:
     """Cocycle of the canonical chart, antisymmetric under swapping a and b."""
-    return g / 2 * (a.h * b.t - a.t * b.h)
+    twist = g / 2 * (a.h * b.t - a.t * b.h)
+    if not math.isfinite(twist):
+        raise ValueError("non-finite group coordinate")
+    return twist
 
 
-def canonical_shift(g: float, a: BaseElement) -> float:
+def canonical_shift(g: float, a: BaseElement | ExtendedElement) -> float:
     """Chart shift beta(t, h) = g*t*h/2 between the polarized and canonical charts.
 
     Its coboundary beta(ab) - beta(a) - beta(b) equals
     cocycle(g, a, b) - cocycle_symmetric(g, a, b).
     """
-    return g / 2 * a.t * a.h
+    shift = g / 2 * a.t * a.h
+    if not math.isfinite(shift):
+        raise ValueError("non-finite group coordinate")
+    return shift
 
 
 def multiply_extended(g: float, a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:
@@ -91,15 +103,14 @@ def conjugate_extended(g: float, a: ExtendedElement, b: ExtendedElement) -> Exte
 
 def multiply_canonical(g: float, a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:
     """Product written directly in canonical coordinates."""
-    twist = cocycle_symmetric(g, BaseElement(a.t, a.h), BaseElement(b.t, b.h))
-    return ExtendedElement(a.xi + b.xi + twist, a.t + b.t, a.h + b.h)
+    return ExtendedElement(a.xi + b.xi + cocycle_symmetric(g, a, b), a.t + b.t, a.h + b.h)
 
 
 def to_canonical_coords(g: float, a: ExtendedElement) -> ExtendedElement:
     """Rewrite a polarized (xi, t, h) in canonical single-exponential coordinates."""
-    return ExtendedElement(a.xi - canonical_shift(g, BaseElement(a.t, a.h)), a.t, a.h)
+    return ExtendedElement(a.xi - canonical_shift(g, a), a.t, a.h)
 
 
 def from_canonical_coords(g: float, a: ExtendedElement) -> ExtendedElement:
     """Inverse chart change of to_canonical_coords."""
-    return ExtendedElement(a.xi + canonical_shift(g, BaseElement(a.t, a.h)), a.t, a.h)
+    return ExtendedElement(a.xi + canonical_shift(g, a), a.t, a.h)

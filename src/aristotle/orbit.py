@@ -95,7 +95,10 @@ class AffineObservable(Record):
         self.__dict__.update(a_p=a_p, a_q=a_q, c=c)
 
     def value(self, pt: OrbitPoint) -> float:
-        return self.a_p * pt.p + self.a_q * pt.q + self.c
+        value = self.a_p * pt.p + self.a_q * pt.q + self.c
+        if not math.isfinite(value):
+            raise ValueError("non-finite observable value")
+        return value
 
 
 class OrbitTangent(Record):
@@ -109,7 +112,10 @@ class OrbitTangent(Record):
 
 def pairing(f: CoadjointPoint, x: "AlgebraElement") -> float:
     """Duality pairing m*dxi + e*dt + p*dx."""
-    return f.m * x.c_M + f.e * x.c_E + f.p * x.c_P
+    value = f.m * x.c_M + f.e * x.c_E + f.p * x.c_P
+    if not math.isfinite(value):
+        raise ValueError("non-finite pairing")
+    return value
 
 
 def coadjoint_act(g: float, a: group.BaseElement, f: CoadjointPoint) -> CoadjointPoint:

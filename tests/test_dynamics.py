@@ -325,7 +325,7 @@ def _summed_check(m, g, p0, q0, t_max, dt):
             p = p + step
         OrbitPoint(p + m * g * (t_max - n * dt) if final else p, q0)
         if not math.isfinite(m * g * q0):
-            raise ValueError("non-finite energy H = m*g*q0")
+            raise ValueError("non-finite energy H = m*g*q")
     except ValueError as err:
         return str(err)
     return None

@@ -160,9 +160,8 @@ class TestNaNInOneComparedValue:
         assert by_name["hamiltonian_p_independence"].passed
 
     def test_nan_second_coordinate_of_spacetime_act(self, monkeypatch):
-        real = group.spacetime_act
-        monkeypatch.setattr(group, "spacetime_act",
-                            lambda a, t, x: (real(a, t, x)[0], math.nan))
+        # The real function refuses a NaN x0, so the mutant does not call it.
+        monkeypatch.setattr(group, "spacetime_act", lambda a, t, x: (t + a.t, math.nan))
         result = result_map(verify.run_verify(seed=1, cases=20))["spacetime_action_law"]
         assert not result.passed
         assert math.isnan(result.max_violation)
@@ -268,16 +267,21 @@ def test_scaled_hamiltonian_or_pairing_is_killed(module, name, mutant, failed, m
 
 MUTATIONS = {"negated": lambda x: -x, "doubled": lambda x: 2 * x, "plus_one": lambda x: x + 1}
 
-# Mutants that no check can kill: each mutated value is 0 wherever verify
-# reads it (the canonical table has no c_P or c_E bracket, an affine
+# Mutants that no check can kill.  Most mutate a value that is 0 wherever
+# verify reads it (the canonical table has no c_P or c_E bracket, an affine
 # observable's bracket is constant, a static system does not drift in q, and
 # a Lie algebra's Jacobi defect is 0), and a negated or doubled 0 is still 0.
+# The dimension_of ones scale one exponent column of every symbol: a
+# consistent change of units, under which every dimensional identity holds.
 EQUIVALENT_MUTANTS = {
     "bracket.c_P negated", "bracket.c_P doubled", "bracket.c_E negated", "bracket.c_E doubled",
     "poisson_bracket.a_p negated", "poisson_bracket.a_p doubled",
     "poisson_bracket.a_q negated", "poisson_bracket.a_q doubled",
     "physical_drift.dq negated", "physical_drift.dq doubled",
     "jacobi_violation negated", "jacobi_violation doubled",
+    "dimension_of.mass_exp negated", "dimension_of.mass_exp doubled",
+    "dimension_of.length_exp negated", "dimension_of.length_exp doubled",
+    "dimension_of.time_exp negated", "dimension_of.time_exp doubled",
 }
 
 
@@ -338,11 +342,9 @@ def test_verify_kills_every_mutant_but_the_equivalent_ones(monkeypatch):
                  for name, fn in inspect.getmembers(module, inspect.isfunction)
                  if fn.__module__ == module.__name__ and not name.startswith("_")]
     sites = _mutation_sites(monkeypatch, functions)
-    # Nothing verify runs calls these: the dimension check reads the symbol
-    # table that dimension_of looks up, and the dynamics checks read
+    # Nothing verify runs calls simulate: the dynamics checks read
     # sample_rows, of which simulate is the list.
-    assert {name for _, name, _ in functions} - {name for _, name, _ in sites} == {
-        "dimension_of", "simulate"}
+    assert {name for _, name, _ in functions} - {name for _, name, _ in sites} == {"simulate"}
     survivors = set()
     for (module, name, fn), found in sites.items():
         for index, label in found.items():
