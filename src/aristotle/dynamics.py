@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from itertools import accumulate, repeat
 
 from .orbit import OrbitContext, OrbitPoint, OrbitTangent
+from .record import finite
 
 INTEGRATORS = ("exact", "symplectic_euler")
 
@@ -58,10 +59,7 @@ class SimulationConfig(OrbitContext):
 
 def hamiltonian(ctx: OrbitContext, pt: OrbitPoint) -> float:
     """Full Hamiltonian m*g*q: gravitational potential energy, no kinetic term."""
-    energy = ctx.m * ctx.g * pt.q
-    if not math.isfinite(energy):
-        raise ValueError("non-finite energy H = m*g*q")
-    return energy
+    return finite(ctx.m * ctx.g * pt.q, "energy H = m*g*q")
 
 
 def evolve_exact(ctx: OrbitContext, pt: OrbitPoint, t: float) -> OrbitPoint:

@@ -18,7 +18,7 @@ differ by the coboundary of beta.
 
 import math
 
-from .record import Record
+from .record import Record, finite
 
 
 class BaseElement(Record):
@@ -53,26 +53,17 @@ def inverse_base(a: BaseElement) -> BaseElement:
 
 def spacetime_act(a: BaseElement, t0: float, x0: float) -> tuple[float, float]:
     """Move the event (t0, x0) by the translation a."""
-    t, x = t0 + a.t, x0 + a.h
-    if not (math.isfinite(t) and math.isfinite(x)):
-        raise ValueError("non-finite event coordinate")
-    return (t, x)
+    return (finite(t0 + a.t, "event coordinate"), finite(x0 + a.h, "event coordinate"))
 
 
 def cocycle(g: float, a: BaseElement | ExtendedElement, b: BaseElement | ExtendedElement) -> float:
     """Central twist g*h*t' picked up by the polarized product of lifts of a, b."""
-    twist = g * a.h * b.t
-    if not math.isfinite(twist):
-        raise ValueError("non-finite group coordinate")
-    return twist
+    return finite(g * a.h * b.t, "group coordinate")
 
 
 def cocycle_symmetric(g: float, a: BaseElement | ExtendedElement, b: BaseElement | ExtendedElement) -> float:
     """Cocycle of the canonical chart, antisymmetric under swapping a and b."""
-    twist = g / 2 * (a.h * b.t - a.t * b.h)
-    if not math.isfinite(twist):
-        raise ValueError("non-finite group coordinate")
-    return twist
+    return finite(g / 2 * (a.h * b.t - a.t * b.h), "group coordinate")
 
 
 def canonical_shift(g: float, a: BaseElement | ExtendedElement) -> float:
@@ -81,10 +72,7 @@ def canonical_shift(g: float, a: BaseElement | ExtendedElement) -> float:
     Its coboundary beta(ab) - beta(a) - beta(b) equals
     cocycle(g, a, b) - cocycle_symmetric(g, a, b).
     """
-    shift = g / 2 * a.t * a.h
-    if not math.isfinite(shift):
-        raise ValueError("non-finite group coordinate")
-    return shift
+    return finite(g / 2 * a.t * a.h, "group coordinate")
 
 
 def multiply_extended(g: float, a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:

@@ -26,7 +26,7 @@ import math
 import sys
 
 from . import group
-from .record import Record
+from .record import Record, finite
 
 
 class DegenerateOrbitError(ValueError):
@@ -63,8 +63,7 @@ class OrbitContext(Record):
             )
         # The chart divides by m*g, so the product must survive in double
         # precision.  An overflowed m*g would make every q = -e/(m*g) read as zero.
-        if math.isinf(mg := m * g):
-            raise ValueError("non-finite orbit parameter product m*g")
+        mg = finite(m * g, "orbit parameter product m*g")
         # A subnormal m*g has under 53 significant bits, off by up to a factor
         # of 2, and one that underflowed to zero has none.
         if abs(mg) < sys.float_info.min:
@@ -95,10 +94,7 @@ class AffineObservable(Record):
         self.__dict__.update(a_p=a_p, a_q=a_q, c=c)
 
     def value(self, pt: OrbitPoint) -> float:
-        value = self.a_p * pt.p + self.a_q * pt.q + self.c
-        if not math.isfinite(value):
-            raise ValueError("non-finite observable value")
-        return value
+        return finite(self.a_p * pt.p + self.a_q * pt.q + self.c, "observable value")
 
 
 class OrbitTangent(Record):
@@ -112,10 +108,7 @@ class OrbitTangent(Record):
 
 def pairing(f: CoadjointPoint, x: "AlgebraElement") -> float:
     """Duality pairing m*dxi + e*dt + p*dx."""
-    value = f.m * x.c_M + f.e * x.c_E + f.p * x.c_P
-    if not math.isfinite(value):
-        raise ValueError("non-finite pairing")
-    return value
+    return finite(f.m * x.c_M + f.e * x.c_E + f.p * x.c_P, "pairing")
 
 
 def coadjoint_act(g: float, a: group.BaseElement, f: CoadjointPoint) -> CoadjointPoint:

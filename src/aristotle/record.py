@@ -1,4 +1,6 @@
-"""Base of the package's immutable value classes, without ``dataclasses``."""
+"""Base of the package's immutable value classes, without ``dataclasses``, and ``finite``."""
+
+import math
 
 
 class Record:
@@ -23,3 +25,11 @@ class Record:
     def __repr__(self):
         fields = ", ".join([f"{name}={value!r}" for name, value in self.__dict__.items()])
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def finite(value, what: str):
+    """value if finite, else ValueError(f"non-finite {what}"); OverflowError for an exact value past doubles.
+    Value classes check fields inline: a call adds ~400 ns per record, and verify builds 100,000s a run."""
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what}")
+    return value

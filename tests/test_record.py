@@ -1,12 +1,17 @@
 """The value classes of the chain are frozen records: each keeps what
 `@dataclass(frozen=True)` gave it (no assignment or deletion, equality only
 within its class, the field-tuple hash, the dataclass repr, fields in
-declaration order, keyword construction) and its validation messages."""
+declaration order, keyword construction) and its validation messages.  A
+number the chain computes, rather than stores in a field, is refused by the
+one `record.finite` rule."""
 
+import ast
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +27,7 @@ from aristotle.orbit import (
     OrbitPoint,
     OrbitTangent,
 )
-from aristotle.record import Record
+from aristotle.record import Record, finite
 
 # Each class with valid arguments, its field names in declaration order, and
 # the message of a non-finite float field (None: its fields are unchecked).
@@ -183,3 +188,81 @@ def test_orbit_context_checks_run_in_order(m, g, error, message):
     with pytest.raises(error) as err:
         OrbitContext(m, g)
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [2.5, -3, Fraction(-7, 3), 5e-324, 1.7976931348623157e308],
+                         ids=repr)
+def test_finite_returns_its_argument(value):
+    assert finite(value, "pairing") is value
+
+
+def test_finite_keeps_the_sign_of_zero():
+    assert math.copysign(1.0, finite(-0.0, "pairing")) == -1.0
+    assert math.copysign(1.0, finite(0.0, "pairing")) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+def test_finite_refuses_with_its_message(bad):
+    with pytest.raises(ValueError) as err:
+        finite(bad, "energy H = m*g*q")
+    assert type(err.value) is ValueError and str(err.value) == "non-finite energy H = m*g*q"
+
+
+def test_finite_overflows_on_an_exact_value_as_a_value_class_does():
+    huge = Fraction(10**400)
+    with pytest.raises(OverflowError) as expected:
+        OrbitPoint(huge, 1)
+    with pytest.raises(OverflowError) as err:
+        finite(huge, "pairing")
+    assert (type(err.value), str(err.value)) == (type(expected.value), str(expected.value))
+
+
+def _scoped_nodes(tree):
+    """(names of the enclosing classes and functions, node) for every node of tree."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def _raises_non_finite(node):
+    """Whether node raises a ValueError whose message, a string or an f-string,
+    starts with "non-finite"."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+            and node.exc.args):
+        return False
+    message = node.exc.args[0]
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    return (isinstance(message, ast.Constant) and isinstance(message.value, str)
+            and message.value.startswith("non-finite"))
+
+
+def _tests_finiteness(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+@pytest.mark.parametrize("module", [algebra, group, orbit, dynamics],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_only_record_fields_refuse_non_finite_inline(module):
+    """A "non-finite" ValueError is raised, and math.isfinite read, only in the
+    __init__ of a Record subclass, which checks its own fields; every other
+    non-finite refusal calls record.finite."""
+    inline, elsewhere = [], set()
+    for scope, node in _scoped_nodes(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "finite":
+            assert module.finite is finite
+        if not (_raises_non_finite(node) or _tests_finiteness(node)):
+            continue
+        cls = getattr(module, scope[0], None) if scope[1:] == ("__init__",) else None
+        if isinstance(cls, type) and issubclass(cls, Record):
+            inline.append(scope)
+        else:
+            elsewhere.add(".".join(scope))
+    assert inline  # the scan sees every module's field checks
+    assert not elsewhere, f"refuses non-finite outside record.finite: {sorted(elsewhere)}"
