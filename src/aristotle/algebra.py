@@ -13,7 +13,7 @@ import math
 from collections.abc import Mapping
 from numbers import Rational
 
-from .record import Record
+from .record import Record, worst
 
 P_INDEX, E_INDEX, M_INDEX = 0, 1, 2
 
@@ -154,15 +154,8 @@ def jacobi_violation(table: BracketTable) -> float:
         [[[sum(c[i][j][l] * c[l][k][m] for l in r) for m in r] for k in r] for j in r]
         for i in r
     ]
-    worst = 0.0
-    for i in r:
-        for j in r:
-            for k in r:
-                for x, y, z in zip(nested[i][j][k], nested[j][k][i], nested[k][i][j]):
-                    defect = abs(x + y + z)
-                    if defect > worst or defect != defect:  # a NaN (inf - inf) stays the worst
-                        worst = defect
-    return worst
+    return worst([abs(x + y + z) for i in r for j in r for k in r
+                  for x, y, z in zip(nested[i][j][k], nested[j][k][i], nested[k][i][j])])
 
 
 class Dimension(Record):

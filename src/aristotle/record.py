@@ -1,4 +1,4 @@
-"""Base of the package's immutable value classes, without ``dataclasses``, and ``finite``."""
+"""Base of the package's immutable value classes, without ``dataclasses``, ``finite`` and ``worst``."""
 
 import math
 
@@ -33,3 +33,12 @@ def finite(value, what: str):
     if not math.isfinite(value):
         raise ValueError(f"non-finite {what}")
     return value
+
+
+def worst(values):
+    """The largest of values (the object itself), or 0.0 if none is larger; a NaN anywhere wins."""
+    largest = 0.0
+    for value in values:
+        if value > largest or value != value:  # a NaN stays the worst
+            largest = value
+    return largest

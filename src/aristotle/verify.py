@@ -7,8 +7,9 @@ violation is the worst absolute or relative difference over the values its
 check compares through ``_violation``.  A property reports its worst
 violation over the requested number of cases and passes when that maximum
 stays within its tolerance; a NaN in any compared value is the worst case
-and fails.  ``run_verify`` returns one ``PropertyResult`` per property, and
-``cli`` writes the report.
+and fails.  ``record.worst`` alone owns that fold, over a case's values and
+over a property's cases.  ``run_verify`` returns one ``PropertyResult`` per
+property, and ``cli`` writes the report.
 
 Tolerance classes, one per property, fixed by its ``PROPERTIES`` entry:
 
@@ -28,10 +29,9 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 from . import algebra, dynamics, group, orbit
-from .record import Record
+from .record import Record, worst
 
 GRAVITY_CHOICES = (1.0, -1.0, 2.0, -2.0, 9.81)
 
@@ -101,23 +101,20 @@ def _reldiff(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
+def _numbers(x) -> tuple:
+    """A record's fields, a tuple of numbers, the flattened items of a tuple of
+    records or tuples, or a number alone."""
+    if isinstance(x, Record):
+        return tuple(vars(x).values())
+    if isinstance(x, tuple) and isinstance(x[0], (Record, tuple)):
+        return tuple(n for item in x for n in _numbers(item))
+    return x if isinstance(x, tuple) else (x,)
+
+
 def _violation(*comparisons: tuple) -> float:
-    """The worst violation of comparisons (lhs, rhs, measure) of numbers, records
-    field by field, or tuples item by item; a NaN anywhere is the worst."""
-    worst = 0.0
-    for lhs, rhs, measure in comparisons:
-        if isinstance(rhs, Record):
-            rhs = vars(rhs).values()
-        if isinstance(lhs, tuple) and isinstance(lhs[0], (Record, tuple)):
-            violations = [_violation(*zip(lhs, rhs, repeat(measure)))]
-        elif isinstance(lhs, (Record, tuple)):  # numbers, as lhs[0] is; rhs may be any iterable
-            violations = map(measure, vars(lhs).values() if isinstance(lhs, Record) else lhs, rhs)
-        else:
-            violations = [measure(lhs, rhs)]
-        for violation in violations:
-            if violation > worst or violation != violation:  # a NaN stays the worst
-                worst = violation
-    return worst
+    """The worst violation of comparisons (lhs, rhs, measure), number by number;
+    a NaN anywhere is the worst (``record.worst``)."""
+    return worst(v for lhs, rhs, measure in comparisons for v in map(measure, _numbers(lhs), _numbers(rhs)))
 
 
 def _central(plus: orbit.OrbitPoint, minus: orbit.OrbitPoint, step: float) -> tuple[float, float]:
@@ -406,7 +403,7 @@ def _check_static_position(rng: random.Random) -> float:
         cfg = _simulation_config(rng, integrator)
         start = orbit.OrbitPoint(cfg.p0, cfg.q0)
         flow_q = tuple(dynamics.evolve_exact(cfg, start, t).q for t, _ in dynamics.sample_rows(cfg))
-        comparisons.append((flow_q, repeat(cfg.q0), _absdiff))  # q stays q0 on every sample
+        comparisons.append((flow_q, (cfg.q0,) * len(flow_q), _absdiff))  # q stays q0 on every sample
         comparisons.append((len(flow_q), dynamics.sample_count(cfg), _absdiff))
     return _violation(*comparisons)
 
@@ -416,8 +413,8 @@ def _check_energy_conservation(integrator: str, rng: random.Random) -> float:
     H, that of its first point.  A trajectory writes that one H on every row,
     so only this evaluation sees a Hamiltonian that depends on p."""
     cfg = _simulation_config(rng, integrator)
-    return _violation((tuple(dynamics.hamiltonian(cfg, orbit.OrbitPoint(p, cfg.q0))
-                             for _, p in dynamics.sample_rows(cfg)), repeat(cfg.energy), _absdiff))
+    energies = tuple(dynamics.hamiltonian(cfg, orbit.OrbitPoint(p, cfg.q0)) for _, p in dynamics.sample_rows(cfg))
+    return _violation((energies, (cfg.energy,) * len(energies), _absdiff))
 
 
 def _check_momentum_linear(integrator: str, rng: random.Random) -> float:
@@ -557,9 +554,6 @@ def run_verify(seed: int, cases: int) -> tuple[PropertyResult, ...]:
     results = []
     for prop in PROPERTIES:
         rng = random.Random(f"{seed}:{prop.name}")
-        worst = 0.0
-        for _ in range(cases):
-            violation = prop.check(rng)  # a NaN stays the worst case: it fails
-            worst = max(worst, violation) if violation == violation else violation
-        results.append(PropertyResult(prop.name, worst, prop.tolerance, worst <= prop.tolerance))
+        violation = worst(prop.check(rng) for _ in range(cases))  # a generator: memory stays flat
+        results.append(PropertyResult(prop.name, violation, prop.tolerance, violation <= prop.tolerance))
     return tuple(results)

@@ -3,7 +3,8 @@
 within its class, the field-tuple hash, the dataclass repr, fields in
 declaration order, keyword construction) and its validation messages.  A
 number the chain computes, rather than stores in a field, is refused by the
-one `record.finite` rule."""
+one `record.finite` rule, and a worst case is scored by the one NaN-sticky
+`record.worst` fold."""
 
 import ast
 import copy
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from aristotle import algebra, dynamics, group, orbit
+from aristotle import algebra, cli, dynamics, group, orbit, verify, write
 from aristotle.algebra import AlgebraElement, Dimension
 from aristotle.dynamics import SimulationConfig
 from aristotle.group import BaseElement, ExtendedElement
@@ -27,7 +28,7 @@ from aristotle.orbit import (
     OrbitPoint,
     OrbitTangent,
 )
-from aristotle.record import Record, finite
+from aristotle.record import Record, finite, worst
 
 # Each class with valid arguments, its field names in declaration order, and
 # the message of a non-finite float field (None: its fields are unchecked).
@@ -266,3 +267,63 @@ def test_only_record_fields_refuse_non_finite_inline(module):
             elsewhere.add(".".join(scope))
     assert inline  # the scan sees every module's field checks
     assert not elsewhere, f"refuses non-finite outside record.finite: {sorted(elsewhere)}"
+
+
+def test_worst_of_nothing_is_zero():
+    assert worst([]) == 0.0 and type(worst([])) is float
+
+
+def test_worst_is_the_largest_value():
+    assert worst([0.5, 3.0, 2.0, 3.0, 1e-300]) == 3.0
+
+
+@pytest.mark.parametrize("values", [[-1.0], [-0.0], [-2.5, -0.0, -1e300]], ids=repr)
+def test_worst_of_values_below_zero_is_zero(values):
+    largest = worst(values)
+    assert largest == 0.0 and math.copysign(1.0, largest) == 1.0
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0],
+                                    [1.0, 2.0, math.nan], [5.0, math.nan, 1.0],
+                                    [math.inf, math.nan, math.inf]], ids=repr)
+def test_worst_returns_a_nan_wherever_it_comes(values):
+    assert math.isnan(worst(values))
+
+
+def test_worst_returns_the_exact_maximum_itself():
+    third = Fraction(1, 3)
+    assert worst([Fraction(1, 4), third, 0.25]) is third
+
+
+def test_worst_reads_a_one_shot_generator():
+    assert worst(x * x for x in (1.0, -3.0, 2.0)) == 9.0
+    assert math.isnan(worst(x - x for x in (1.0, math.inf, 2.0)))
+
+
+def _self_compared(node):
+    """Whether node is a comparison of an expression with itself by == or !=,
+    a NaN test."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [ast.dump(x) for x in (node.left, *node.comparators)]
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) and left == right
+               for op, left, right in zip(node.ops, operands, operands[1:]))
+
+
+def _calls_isnan(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "isnan"
+        or isinstance(node.func, ast.Name) and node.func.id == "isnan")
+
+
+def test_only_record_worst_tests_for_nan():
+    """The NaN-sticky fold has one owner: no other module of the chain tests a
+    value against itself or calls math.isnan, so a NaN worst case fails by the
+    rule of record.worst alone."""
+    found = set()
+    for module in (algebra, group, orbit, dynamics, verify, write, cli):
+        name = module.__name__.rpartition(".")[2]
+        for scope, node in _scoped_nodes(ast.parse(inspect.getsource(module))):
+            if _self_compared(node) or _calls_isnan(node):
+                found.add(".".join((name, *scope)))
+    assert not found, f"tests for NaN outside record.worst: {sorted(found)}"

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 import types
 from functools import partial
 
@@ -52,6 +53,19 @@ class TestReport:
     def test_rejects_zero_cases(self):
         with pytest.raises(ValueError):
             verify.run_verify(seed=1, cases=0)
+
+    def test_memory_stays_flat_as_cases_grow(self, monkeypatch):
+        # Folding a list of 1e5 cases peaks near 3 MB; the generator, near 3 KB.
+        prop = verify.Property("p", 1.0, lambda rng: rng.random())
+        monkeypatch.setattr(verify, "PROPERTIES", (prop,))
+        tracemalloc.start()
+        try:
+            (result,) = verify.run_verify(1, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed and 0.99 < result.max_violation < 1.0
+        assert peak < 64 * 1024
 
 
 def flat_multiply(g, a, b):
