@@ -113,8 +113,9 @@ def _numbers(x) -> tuple:
 
 def _violation(*comparisons: tuple) -> float:
     """The worst violation of comparisons (lhs, rhs, measure), number by number;
-    a NaN anywhere is the worst (``record.worst``)."""
-    return worst(v for lhs, rhs, measure in comparisons for v in map(measure, _numbers(lhs), _numbers(rhs)))
+    a NaN anywhere is the worst (``record.worst``), and unequal sides raise ValueError."""
+    return worst(measure(x, y) for lhs, rhs, measure in comparisons
+                 for x, y in zip(_numbers(lhs), _numbers(rhs), strict=True))
 
 
 def _central(plus: orbit.OrbitPoint, minus: orbit.OrbitPoint, step: float) -> tuple[float, float]:

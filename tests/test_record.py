@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from aristotle import algebra, cli, dynamics, group, orbit, verify, write
+import chain
+from aristotle import cli, verify, write
 from aristotle.algebra import AlgebraElement, Dimension
 from aristotle.dynamics import SimulationConfig
 from aristotle.group import BaseElement, ExtendedElement
@@ -106,8 +107,7 @@ def test_non_finite_messages_name_the_first_bad_field(cls, args, fields, message
         assert type(err.value) is ValueError and str(err.value) == expected
 
 
-@pytest.mark.parametrize("module", [algebra, group, orbit, dynamics],
-                         ids=lambda m: m.__name__.rpartition(".")[2])
+@pytest.mark.parametrize("module", chain.MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
 def test_every_class_of_the_chain_is_a_record_or_an_exception(module):
     classes = [c for c in vars(module).values()
                if isinstance(c, type) and c.__module__ == module.__name__]
@@ -248,8 +248,7 @@ def _tests_finiteness(node):
             and isinstance(node.value, ast.Name) and node.value.id == "math")
 
 
-@pytest.mark.parametrize("module", [algebra, group, orbit, dynamics],
-                         ids=lambda m: m.__name__.rpartition(".")[2])
+@pytest.mark.parametrize("module", chain.MODULES, ids=lambda m: m.__name__.rpartition(".")[2])
 def test_only_record_fields_refuse_non_finite_inline(module):
     """A "non-finite" ValueError is raised, and math.isfinite read, only in the
     __init__ of a Record subclass, which checks its own fields; every other
@@ -321,7 +320,7 @@ def test_only_record_worst_tests_for_nan():
     value against itself or calls math.isnan, so a NaN worst case fails by the
     rule of record.worst alone."""
     found = set()
-    for module in (algebra, group, orbit, dynamics, verify, write, cli):
+    for module in (*chain.MODULES, verify, write, cli):
         name = module.__name__.rpartition(".")[2]
         for scope, node in _scoped_nodes(ast.parse(inspect.getsource(module))):
             if _self_compared(node) or _calls_isnan(node):

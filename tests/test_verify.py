@@ -9,6 +9,7 @@ from functools import partial
 
 import pytest
 
+import chain
 from aristotle import algebra, dynamics, group, orbit, verify
 from aristotle.group import ExtendedElement
 from aristotle.record import Record
@@ -211,6 +212,14 @@ def test_checks_compare_only_through_violation():
             assert node.value.func.id == "_violation", (check.name, node.lineno)
 
 
+@pytest.mark.parametrize("lhs, rhs", [((1.0, 2.0), (1.0,)), (orbit.OrbitPoint(1.0, 5.0), (1.0,))],
+                         ids=["tuple", "record"])
+def test_violation_refuses_sides_of_unequal_length(lhs, rhs):
+    """Pairing stops at neither side: a value left unscored could hide a defect."""
+    with pytest.raises(ValueError):
+        verify._violation((lhs, rhs, verify._absdiff))
+
+
 class TestEnergyMutation:
     """A kinetic term in H must fail both energy properties.
 
@@ -299,25 +308,14 @@ EQUIVALENT_MUTANTS = {
 }
 
 
-def _numbers(result):
-    """(label, value) of each item of a result: a record's fields, a tuple's
-    items, or the result itself."""
+def _changed(result, path, change):
+    """result with the number at path changed, rebuilt through its class."""
+    if not path:
+        return change(result)
+    (key,) = path
     if isinstance(result, Record):
-        return list(vars(result).items())
-    if isinstance(result, tuple):
-        return [(str(i), x) for i, x in enumerate(result)]
-    return [("", result)]
-
-
-def _changed(result, index, change):
-    """result with its index-th item changed, rebuilt through its class."""
-    if isinstance(result, Record):
-        fields = dict(vars(result))
-        name = list(fields)[index]
-        return type(result)(**{**fields, name: change(fields[name])})
-    if isinstance(result, tuple):
-        return (*result[:index], change(result[index]), *result[index + 1:])
-    return change(result)
+        return type(result)(**{**vars(result), key: change(getattr(result, key))})
+    return (*result[:key], change(result[key]), *result[key + 1:])
 
 
 def _on_results(fn, apply):
@@ -328,21 +326,22 @@ def _on_results(fn, apply):
     return wrapped
 
 
-def _mutation_sites(monkeypatch, functions):
-    """{(module, name, fn): {index: label}} of every number that each called
-    function returns or yields during an unmutated verify run."""
+def _mutation_sites(monkeypatch):
+    """{name: {path: label}} of every number that each public function of the
+    chain returns or yields, as itself or as a field or item of its result,
+    during an unmutated verify run."""
     sites = {}
 
-    def record(key, result):
-        found = sites.setdefault(key, {})
-        for index, (label, x) in enumerate(_numbers(result)):
-            if isinstance(x, (int, float)) and not isinstance(x, bool):
-                found[index] = f"{key[1]}.{label}" if label else key[1]
+    def record(name, result):
+        found = sites.setdefault(name, {})
+        for path, x in chain.leaves(result):
+            if len(path) <= 1 and not isinstance(x, bool):
+                found[path] = ".".join(map(str, (name, *path)))
         return result
 
     with monkeypatch.context() as patch:
-        for key in functions:
-            patch.setattr(key[0], key[1], _on_results(key[2], partial(record, key)))
+        for name, fn in chain.FUNCTIONS.items():
+            patch.setattr(inspect.getmodule(fn), name, _on_results(fn, partial(record, name)))
         verify.run_verify(3, 5)
     return sites
 
@@ -350,25 +349,23 @@ def _mutation_sites(monkeypatch, functions):
 def test_verify_kills_every_mutant_but_the_equivalent_ones(monkeypatch):
     """Each number that a public function of algebra, group, orbit or dynamics
     returns, negated, doubled or increased by 1, fails a property or makes
-    the run raise, unless the mutant is equivalent on every input verify
-    draws.  A new public function joins the gate by itself."""
-    functions = [(module, name, fn) for module in (algebra, group, orbit, dynamics)
-                 for name, fn in inspect.getmembers(module, inspect.isfunction)
-                 if fn.__module__ == module.__name__ and not name.startswith("_")]
-    sites = _mutation_sites(monkeypatch, functions)
+    the run raise ValueError, unless the mutant is equivalent on every input
+    verify draws.  A new public function joins the gate by itself."""
+    sites = _mutation_sites(monkeypatch)
     # Nothing verify runs calls simulate: the dynamics checks read
     # sample_rows, of which simulate is the list.
-    assert {name for _, name, _ in functions} - {name for _, name, _ in sites} == {"simulate"}
+    assert set(chain.FUNCTIONS) - set(sites) == {"simulate"}
     survivors = set()
-    for (module, name, fn), found in sites.items():
-        for index, label in found.items():
+    for name, found in sites.items():
+        fn = chain.FUNCTIONS[name]
+        for path, label in found.items():
             for mutation, change in MUTATIONS.items():
                 with monkeypatch.context() as patch:
-                    patch.setattr(module, name,
-                                  _on_results(fn, partial(_changed, index=index, change=change)))
+                    patch.setattr(inspect.getmodule(fn), name,
+                                  _on_results(fn, partial(_changed, path=path, change=change)))
                     try:
                         killed = not all(r.passed for r in verify.run_verify(3, 5))
-                    except Exception:  # a refused or malformed value: the run fails
+                    except ValueError:  # a refused or malformed value: the run fails
                         killed = True
                 if not killed:
                     survivors.add(f"{label} {mutation}")
