@@ -37,7 +37,8 @@ def _alg(x):
 
 def _table(x, rng):
     """The canonical table of a drawn g, or an antisymmetric table of draws
-    whose zeros are int 0, so that a table of Fractions stays exact."""
+    whose zeros are int 0, so that a table of Fractions stays exact; one such
+    table in four has a mirrored entry drawn anew, which breaks antisymmetry."""
     if rng.random() < 0.5:
         return algebra.aristotle_bracket_table(x())
     c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -46,6 +47,8 @@ def _table(x, rng):
             for k in range(3):
                 c[i][j][k] = x()
                 c[j][i][k] = -c[i][j][k]
+    if rng.random() < 0.25:
+        c[1][0][rng.randrange(3)] = x()
     return algebra.BracketTable(c)
 
 

@@ -1,11 +1,14 @@
 """Fixtures that set how many CPUs `aristotle simulate` sees, so both of its
 writing paths (rows formatted in process, or by forked workers) run on any
-host."""
+host, and one that runs code in a bare interpreter."""
 
 import os
+import subprocess
 import sys
 
 import pytest
+
+import aristotle
 
 
 @pytest.fixture
@@ -25,3 +28,18 @@ def cli_command():
                 "from aristotle.cli import main; sys.exit(main(sys.argv[1:]))")
         return [sys.executable, "-c", code, *args]
     return command
+
+
+@pytest.fixture
+def bare_python():
+    """Run code with argv in a fresh interpreter started with -S, so that no
+    .pth file run by `site` imports modules of its own, and with the tested
+    package's directory put first on sys.path; its output is captured as
+    text, or as bytes with text=False."""
+    src = os.path.dirname(os.path.dirname(aristotle.__file__))
+
+    def run(code, *argv, text=True, **kwargs):
+        code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+        return subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                              text=text, **kwargs)
+    return run

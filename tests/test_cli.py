@@ -705,21 +705,16 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_import_does_not_load_the_suite_or_dataclasses(self):
-        # -S: a .pth file run by `site` could import these itself.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.cli\n"
-                "print(sorted({'aristotle.verify', 'aristotle.dynamics', 'aristotle.algebra',"
-                " 'aristotle.write', 'dataclasses', 'inspect', 'typing', '__future__'}"
-                " & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    def test_import_does_not_load_the_suite_or_dataclasses(self, bare_python):
+        proc = bare_python(
+            "import aristotle.cli\n"
+            "print(sorted({'aristotle.verify', 'aristotle.dynamics', 'aristotle.algebra',"
+            " 'aristotle.write', 'dataclasses', 'inspect', 'typing', '__future__'}"
+            " & set(sys.modules)))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
-    def test_writer_does_not_load_cli(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.write\n"
-                "print('aristotle.cli' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    def test_writer_does_not_load_cli(self, bare_python):
+        proc = bare_python("import aristotle.write\nprint('aristotle.cli' in sys.modules)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_verify_is_loaded_as_the_attribute_cli_verify(self):
@@ -730,26 +725,24 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); import aristotle.orbit\n"
-                "print('aristotle.algebra' in sys.modules)\n"
-                "from aristotle import cli\n"
-                "cli.main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31'])\n"
-                "cli.main(['act', '--mass', '5', '--g', '2', '--t', '3', '--h', '4',"
-                " '--p', '1', '--q', '2'])\n"
-                "print(sorted({'aristotle.algebra', 'aristotle.dynamics'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self, bare_python):
+        proc = bare_python(
+            "import aristotle.orbit\n"
+            "print('aristotle.algebra' in sys.modules)\n"
+            "from aristotle import cli\n"
+            "cli.main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31'])\n"
+            "cli.main(['act', '--mass', '5', '--g', '2', '--t', '3', '--h', '4',"
+            " '--p', '1', '--q', '2'])\n"
+            "print(sorted({'aristotle.algebra', 'aristotle.dynamics'} & set(sys.modules)))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "False\np=31 q=3\np=31 q=6\n[]\n", "")
 
-    def test_point_queries_load_no_argparse(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = (f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
-                "cli.main(['orbit', '--m=5', '--g=2', '--e=-30', '--p=31'])\n"
-                "cli.main(['act', '--mass=5', '--g=2', '--t=3', '--h=4', '--p=1', '--q=2'])\n"
-                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    def test_point_queries_load_no_argparse(self, bare_python):
+        proc = bare_python(
+            "from aristotle import cli\n"
+            "cli.main(['orbit', '--m=5', '--g=2', '--e=-30', '--p=31'])\n"
+            "cli.main(['act', '--mass=5', '--g=2', '--t=3', '--h=4', '--p=1', '--q=2'])\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p=31 q=3\np=31 q=6\n[]\n", "")
 
     @pytest.mark.parametrize("argv", [
@@ -757,14 +750,12 @@ class TestSubprocess:
         ["orbit", "--help"],
         ["act", "--ma=5", "--g=2", "--t=3", "--h=4", "--p=1", "--q=2"],
     ], ids=["separate-negative", "help", "abbreviation"])
-    def test_other_command_lines_print_what_argparse_prints(self, argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        head = f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
+    def test_other_command_lines_print_what_argparse_prints(self, argv, bare_python):
+        head = "from aristotle import cli\n"
         main = head + "code = cli.main(sys.argv[1:]); assert 'argparse' in sys.modules; sys.exit(code)"
         reference = head + ("args = cli.build_parser().parse_args(sys.argv[1:]); "
                              "sys.exit(getattr(cli, f'cmd_{args.subcommand}')(args))")
-        got, expected = (subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True)
-                         for code in (main, reference))
+        got, expected = (bare_python(code, *argv, text=False) for code in (main, reference))
         assert (got.returncode, got.stdout, got.stderr) == (
             expected.returncode, expected.stdout, expected.stderr)
 

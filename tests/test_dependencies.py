@@ -2,14 +2,9 @@
 dependency, and no subcommand loads a module from outside the standard
 library."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-from aristotle import cli
 
 try:
     import tomllib
@@ -32,18 +27,14 @@ def test_pyproject_declares_no_runtime_dependency():
      "--t-max", "4", "--out", "OUT"],
     ["verify", "--cases", "2"],
 ], ids=lambda argv: argv[0])
-def test_each_subcommand_loads_only_the_standard_library(argv, tmp_path):
-    # -S: a .pth file run by `site` could import modules of its own.
+def test_each_subcommand_loads_only_the_standard_library(argv, tmp_path, bare_python):
     argv = [str(tmp_path / "trajectory.csv") if a == "OUT" else a for a in argv]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); from aristotle import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "tops = {name.partition('.')[0] for name in sys.modules}\n"
-            "print(sorted(tops - sys.stdlib_module_names - {'aristotle', '__main__'}),"
-            " file=sys.stderr)\n"
-            "sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
-                          text=True, timeout=60)
+    proc = bare_python("from aristotle import cli\n"
+                       "code = cli.main(sys.argv[1:])\n"
+                       "tops = {name.partition('.')[0] for name in sys.modules}\n"
+                       "print(sorted(tops - sys.stdlib_module_names - {'aristotle', '__main__'}),"
+                       " file=sys.stderr)\n"
+                       "sys.exit(code)", *argv, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "[]\n")
     out = (tmp_path / "trajectory.csv").read_text() if argv[0] == "simulate" else proc.stdout
     assert out.count("\n") > 1 or out.startswith("p=")  # the command wrote its answer

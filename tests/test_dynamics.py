@@ -491,30 +491,3 @@ class TestRunCheck:
     def test_huge_euler_runs_are_decided_at_once(self, cli_command, argv, head, code, err):
         argv = ["simulate", *argv.split(), "--integrator", "symplectic_euler"]
         assert _cli_head(cli_command, argv) == (head, code, err)
-
-
-class TestConfigValidation:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=float("nan"), g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
-
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=0.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=-1.0)
-
-    def test_rejects_negative_horizon(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=-4.0, dt=0.5)
-
-    def test_rejects_step_beyond_horizon(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=0.25, dt=0.5)
-
-    def test_rejects_unknown_integrator(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5, integrator="rk4")
-

@@ -9,7 +9,6 @@ from aristotle.group import (
     EXTENDED_IDENTITY,
     BaseElement,
     ExtendedElement,
-    canonical_shift,
     cocycle,
     cocycle_symmetric,
     conjugate_extended,
@@ -97,25 +96,6 @@ class TestExtendedGroup:
                 assert product.t == 0.0
                 assert product.h == 0.0
 
-    def test_associativity_random(self):
-        rng = random.Random(4)
-        for _ in range(300):
-            g = rng.choice(GRAVITIES)
-            a, b, c = (random_extended(rng) for _ in range(3))
-            lhs = multiply_extended(g, multiply_extended(g, a, b), c)
-            rhs = multiply_extended(g, a, multiply_extended(g, b, c))
-            assert abs(lhs.xi - rhs.xi) <= 1e-9
-            assert abs(lhs.t - rhs.t) <= 1e-9
-            assert abs(lhs.h - rhs.h) <= 1e-9
-
-    def test_central_subgroup_commutes(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            g = rng.choice(GRAVITIES)
-            z = ExtendedElement(rng.uniform(-10, 10), 0.0, 0.0)
-            a = random_extended(rng)
-            assert multiply_extended(g, z, a) == multiply_extended(g, a, z)
-
     def test_conjugation_shifts_center_only(self):
         g = 2.0
         a = ExtendedElement(0.0, 3.0, 4.0)
@@ -141,33 +121,10 @@ class TestCocycles:
         assert lhs == 72.0
         assert rhs == 72.0
 
-    def test_cocycle_identity_random(self):
-        rng = random.Random(6)
-        for _ in range(300):
-            g = rng.choice(GRAVITIES)
-            a, b, c = (BaseElement(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3))
-            lhs = cocycle(g, a, b) + cocycle(g, multiply_base(a, b), c)
-            rhs = cocycle(g, a, multiply_base(b, c)) + cocycle(g, b, c)
-            assert abs(lhs - rhs) <= 1e-9
-
     def test_symmetric_cocycle_is_antisymmetric(self):
         g = 9.81
         a, b = BaseElement(1.5, 2.5), BaseElement(-3.0, 4.0)
         assert cocycle_symmetric(g, a, b) == -cocycle_symmetric(g, b, a)
-
-    def test_coboundary_relation(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            g = rng.choice(GRAVITIES)
-            a = BaseElement(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            b = BaseElement(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            difference = cocycle(g, a, b) - cocycle_symmetric(g, a, b)
-            coboundary = (
-                canonical_shift(g, multiply_base(a, b))
-                - canonical_shift(g, a)
-                - canonical_shift(g, b)
-            )
-            assert abs(difference - coboundary) <= 1e-9
 
 
 class TestCanonicalChart:
@@ -201,13 +158,3 @@ class TestCanonicalChart:
             direct = multiply_canonical(g, a, b)
             assert abs(via.xi - direct.xi) <= 1e-9
             assert via.t == direct.t and via.h == direct.h
-
-
-class TestValidation:
-    def test_base_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            BaseElement(float("inf"), 0.0)
-
-    def test_extended_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ExtendedElement(0.0, float("nan"), 0.0)

@@ -266,7 +266,7 @@ class TestMovingPositionMutation:
         assert not by_name["generator_finite_difference"].passed
 
 
-hamiltonian, pairing = dynamics.hamiltonian, orbit.pairing
+hamiltonian, pairing, table = dynamics.hamiltonian, orbit.pairing, algebra.aristotle_bracket_table
 
 
 @pytest.mark.parametrize("module, name, mutant, failed", [
@@ -286,6 +286,18 @@ def test_scaled_hamiltonian_or_pairing_is_killed(module, name, mutant, failed, m
     monkeypatch.setattr(module, name, mutant)
     results = verify.run_verify(seed=42, cases=20)
     assert [r.name for r in results if not r.passed] == [failed]
+
+
+@pytest.mark.parametrize("mutant", [lambda g: table(2 * g), lambda g: table(-g),
+                                    lambda g: table(g + 1)],
+                         ids=["g_doubled", "g_negated", "g_plus_one"])
+def test_changed_bracket_table_is_killed(mutant, monkeypatch):
+    # The mutation gate reads no number of a table, whose constants sit three
+    # levels deep.  Any g gives a Lie algebra, so only the identity that ties
+    # the bracket to the Poisson bracket of the momentum map sees the change.
+    monkeypatch.setattr(algebra, "aristotle_bracket_table", mutant)
+    results = verify.run_verify(seed=42, cases=20)
+    assert [r.name for r in results if not r.passed] == ["momentum_map_antihomomorphism"]
 
 
 MUTATIONS = {"negated": lambda x: -x, "doubled": lambda x: 2 * x, "plus_one": lambda x: x + 1}
