@@ -217,15 +217,6 @@ class TestTrajectory:
                               timeout=10)
         assert (proc.stdout, proc.stderr) == ("start must be nonnegative\n", "")
 
-    @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
-    def test_non_finite_samples_rejected_up_front(self, integrator):
-        overflow_p = dict(m=10.0, g=9.81, p0=1.0, q0=5.0, t_max=1e308, dt=1e307)
-        overflow_h = dict(m=1e200, g=1e100, p0=1.0, q0=1e10, t_max=0.0, dt=1.0)
-        too_many = dict(m=1.0, g=1.0, p0=1.0, q0=1.0, t_max=1e10, dt=1e-300)
-        for base in (overflow_p, overflow_h, too_many):
-            with pytest.raises(ValueError):
-                SimulationConfig(**base, integrator=integrator)
-
 
 # Grids of about 3.6e23 and 8.1e29 steps on which floor(t_max/dt)*dt
 # overshoots t_max; n*dt then stays the same float over many steps of n.

@@ -5,8 +5,8 @@ memory and wrote the whole payload at once, before output was streamed.
 The streaming writer must reproduce those bytes exactly: both integrators,
 both formats, a horizon that is a whole number of steps ("worked"), a
 fractional horizon, t_max = 0, magnitudes where repr switches to exponent
-form, outputs spanning several write chunks, and the error for a far end
-that overflows.
+form, outputs spanning several write chunks, and the error line of each
+refused config, which creates no --out file either.
 """
 
 import hashlib
@@ -101,10 +101,10 @@ CORPUS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
-# Refusals, each breaking two rules at once, so the rule checked first names
-# the error: m*g before the sample count, a degenerate orbit before the
-# sample count, the sample count before H, the last p before H, and a zero m
-# (refused as `orbit --m 0` refuses it) before dt > t_max.
+# Refusals.  The first five each break two rules at once, so the rule checked
+# first names the error: m*g before the sample count, a degenerate orbit before
+# the sample count, the sample count before H, the last p before H, and a zero m
+# (refused as `orbit --m 0` refuses it) before dt > t_max.  The rest break one.
 REFUSALS = {
     "product_and_count": (["--mass", "1e200", "--g", "1e200", "--p0", "1", "--q0", "1",
                            "--t-max", "1e10", "--dt", "1e-300"],
@@ -122,6 +122,15 @@ REFUSALS = {
                             "--t-max", "1", "--dt", "2"],
                            "degenerate orbit: m and g must both be nonzero "
                            "for the chart q = -e/(m*g)"),
+    # m*g = 1e300 is finite, but H = m*g*q0 overflows.
+    "energy": (["--mass", "1e200", "--g", "1e100", "--p0", "1", "--q0", "1e10",
+                "--t-max", "0", "--dt", "1"], "non-finite energy H = m*g*q"),
+    "negative_dt": (["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--t-max", "4",
+                     "--dt", "-1"], "dt must be positive"),
+    "negative_t_max": (["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--t-max=-4",
+                        "--dt", "0.5"], "t_max must be nonnegative"),
+    "step_above_horizon": (["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--t-max", "4",
+                            "--dt", "5"], "dt must not exceed t_max"),
 }
 FLAGS.update({name: flags for name, (flags, _) in REFUSALS.items()})
 CORPUS += [(name, integrator, fmt, 2, f"error: {message}\n",
@@ -136,12 +145,17 @@ def _digest(text: str) -> str:
 
 @pytest.mark.parametrize("name, integrator, fmt, code, err, digest", CORPUS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CORPUS])
-def test_stdout_matches_corpus(capsys, name, integrator, fmt, code, err, digest):
+def test_stdout_matches_corpus(tmp_path, capsys, name, integrator, fmt, code, err, digest):
     argv = ["simulate", *FLAGS[name], "--integrator", integrator, "--format", fmt]
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.err == err
     assert _digest(captured.out) == digest
+    if code == 2:  # refused before --out is opened
+        target = tmp_path / f"trajectory.{fmt}"
+        assert cli.main([*argv, "--out", str(target)]) == code
+        assert capsys.readouterr() == ("", err)
+        assert not target.exists()
 
 
 MULTI_CHUNK = [c for c in CORPUS if c[0] == "multi_chunk"]
