@@ -330,10 +330,17 @@ REFUSED = {
 @pytest.mark.parametrize("argv, message", REFUSED.values(), ids=list(REFUSED))
 def test_refused_command_line_is_one_error_line(argv, message, capsys):
     assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["orbit", "act", "simulate", "verify"])
+def test_handlers_raise_refused_input(command, capsys):
     # Only cli.main turns a refusal into its error line and exit 2.
-    with pytest.raises(ValueError) as excinfo:
-        getattr(cli, f"cmd_{argv[0]}")(cli.build_parser().parse_args(argv))
-    assert (str(excinfo.value), *capsys.readouterr()) == (message, "", "")
+    rows = [row for row in REFUSED.values() if row[0][0] == command]
+    assert rows
+    for argv, message in rows:
+        with pytest.raises(ValueError) as excinfo:
+            getattr(cli, f"cmd_{command}")(cli.build_parser().parse_args(argv))
+        assert (str(excinfo.value), *capsys.readouterr()) == (message, "", "")
 
 
 @pytest.mark.parametrize("refused", ["orbit-zero-mass", "act-overflowing-chart",
