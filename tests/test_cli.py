@@ -735,9 +735,15 @@ def closed_stdout(command):
     return ["sh", "-c", '"$@" >&-', "sh", *command]
 
 
+def recognized(argv):
+    """argv with each flag joined to its value by "=", which the orbit/act
+    recognizer reads; REFUSED's separate `--e -30` goes through argparse."""
+    return [argv[0], *map("=".join, zip(argv[1::2], argv[2::2]))]
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--m", "5", "--g", "2", "--e=-30", "--p", "31"],
-    ["orbit", "--m", "0", "--g", "2", "--e=-30", "--p", "31"],
+    recognized(REFUSED["orbit-zero-mass"][0]),
     ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"],
     ["verify", "--cases", "2"],
     ["simulate", *SIM_FLAGS],
@@ -763,9 +769,9 @@ def test_closed_stdout_does_not_stop_out(cli_command, tmp_path, flags):
 
 
 @pytest.mark.parametrize("argv", [
-    ["orbit", "--m", "0", "--g", "2", "--e=-30", "--p", "31"],
-    ["verify", "--cases", "0"],
-    ["simulate", *SIM_FLAGS, "--out", "/nonexistent/trajectory.csv"],
+    recognized(REFUSED["orbit-zero-mass"][0]),
+    REFUSED["verify-zero-cases"][0],
+    REFUSED["simulate-missing-directory"][0],
 ], ids=["orbit", "verify", "simulate"])
 @pytest.mark.parametrize("stderr", [pytest.param("full", marks=needs_dev_full), "closed"])
 def test_unwritable_stderr_keeps_exit_status(cli_command, argv, stderr):
@@ -873,7 +879,7 @@ def test_unknown_format_is_refused_before_writing(fmt):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
 def test_failed_writes_leave_no_descriptor_open(capsys):
     point = ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"]
-    degenerate = ["orbit", "--m", "0", "--g", "2", "--e", "-30", "--p", "31"]
+    degenerate = REFUSED["orbit-zero-mass"][0]  # through argparse
     calls = [(point, contextlib.redirect_stdout)] * 3 + [(degenerate, contextlib.redirect_stderr)] * 3
     before = len(os.listdir("/proc/self/fd"))
     for argv, redirect in calls:

@@ -14,15 +14,10 @@ from fractions import Fraction as F
 import pytest
 
 import chain
-from aristotle import algebra, group, orbit
+from aristotle import algebra
 
 DRAWS = 50
 G = F(981, 100)
-X = algebra.AlgebraElement(F(1, 2), F(-3, 5), F(2, 9))
-Y = algebra.AlgebraElement(F(-4, 7), F(5, 11), F(1, 13))
-A = group.BaseElement(F(1, 3), F(-2, 7))
-B = group.BaseElement(F(-5, 6), F(3, 4))
-U = group.ExtendedElement(F(1, 5), F(2, 3), F(-7, 8))
 
 # name -> the paths of a result that hold a literal float constant
 LITERALS = {
@@ -61,12 +56,6 @@ def test_fraction_inputs_give_exact_results(name):
 
 
 def test_exact_results_equal_their_closed_forms():
-    # Identities that verify checks to a tolerance hold with equality here.
-    assert algebra.bracket(algebra.aristotle_bracket_table(G), X, Y) == algebra.AlgebraElement(
-        0, 0, G * (X.c_P * Y.c_E - X.c_E * Y.c_P))
+    # A corrupted table's Jacobi defect is G itself, not a rounding of it.  The
+    # other closed forms are the exact model's (test_model.py).
     assert algebra.jacobi_violation(_corrupted_table()) == G
-    assert orbit.adjoint_act_via_conjugation(G, A, X) == orbit.adjoint_act(G, A, X)
-    assert group.cocycle(G, A, B) - group.cocycle_symmetric(G, A, B) == (
-        group.canonical_shift(G, group.multiply_base(A, B))
-        - group.canonical_shift(G, A) - group.canonical_shift(G, B))
-    assert group.from_canonical_coords(G, group.to_canonical_coords(G, U)) == U

@@ -182,13 +182,24 @@ def test_simulation_config_refuses_m_g_as_orbit_context_does(m, g, dt):
     (math.nan, 0.0, ValueError, "non-finite orbit parameter"),
     (0.0, 2.0, DegenerateOrbitError,
      "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
+    (5.0, 0.0, DegenerateOrbitError,
+     "degenerate orbit: m and g must both be nonzero for the chart q = -e/(m*g)"),
+    # m*g underflows to zero, or is subnormal: under 53 significant bits, so
+    # q = -e/(m*g) could be off by up to a factor of 2.
     (1e-200, 1e-200, ValueError, "subnormal orbit parameter product m*g"),
+    (1e-300, 7e-24, ValueError, "subnormal orbit parameter product m*g"),
+    (1e-154, -1e-154, ValueError, "subnormal orbit parameter product m*g"),
+    (-5e-324, 1.0, ValueError, "subnormal orbit parameter product m*g"),
     (1e200, -1e200, ValueError, "non-finite orbit parameter product m*g"),
 ])
 def test_orbit_context_checks_run_in_order(m, g, error, message):
     with pytest.raises(error) as err:
         OrbitContext(m, g)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_orbit_context_accepts_the_least_normal_product():
+    assert OrbitContext(2.2250738585072014e-308, -1.0).g == -1.0
 
 
 @pytest.mark.parametrize("value", [2.5, -3, Fraction(-7, 3), 5e-324, 1.7976931348623157e308],
