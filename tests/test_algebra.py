@@ -28,8 +28,6 @@ from aristotle.algebra import (
 
 P = AlgebraElement(1.0, 0.0, 0.0)
 E = AlgebraElement(0.0, 1.0, 0.0)
-M = AlgebraElement(0.0, 0.0, 1.0)
-ZERO = AlgebraElement(0.0, 0.0, 0.0)
 
 
 def corrupted_table(g):
@@ -43,21 +41,6 @@ def corrupted_table(g):
 
 
 class TestBracket:
-    def test_generators_close_on_central(self):
-        table = aristotle_bracket_table(2.0)
-        assert bracket(table, P, E) == AlgebraElement(0.0, 0.0, 2.0)
-
-    def test_self_bracket_vanishes(self):
-        table = aristotle_bracket_table(2.0)
-        assert bracket(table, P, P) == ZERO
-
-    def test_bilinear_expansion(self):
-        # [(1,2,0), (3,4,0)] = (1*4 - 2*3) * g * M with g = 2.
-        table = aristotle_bracket_table(2.0)
-        a = AlgebraElement(1.0, 2.0, 0.0)
-        b = AlgebraElement(3.0, 4.0, 0.0)
-        assert bracket(table, a, b) == AlgebraElement(0.0, 0.0, -4.0)
-
     def test_bilinearity_random(self):
         rng = random.Random(2)
         table = aristotle_bracket_table(-2.0)

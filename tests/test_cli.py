@@ -622,22 +622,28 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
 
-    def test_import_does_not_load_numpy(self):
-        code = "import sys, aristotle.cli; sys.exit('numpy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
+    # The next six read the one measured run of IMPORT_BUDGETS rows.
+    def test_import_does_not_load_numpy(self, budget):
+        assert "numpy" not in budget("import-cli")[2]
 
-    def test_import_does_not_load_the_suite_or_dataclasses(self, bare_python):
-        proc = bare_python(
-            "import aristotle.cli\n"
-            "print(sorted({'aristotle.verify', 'aristotle.dynamics', 'aristotle.algebra',"
-            " 'aristotle.write', 'dataclasses', 'inspect', 'typing', '__future__'}"
-            " & set(sys.modules)))")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    def test_import_does_not_load_the_suite_or_dataclasses(self, budget):
+        assert not {"aristotle.verify", "aristotle.dynamics", "aristotle.algebra", "aristotle.write",
+                    "dataclasses", "inspect", "typing", "__future__"} & budget("import-cli")[2]
 
-    def test_writer_does_not_load_cli(self, bare_python):
-        proc = bare_python("import aristotle.write\nprint('aristotle.cli' in sys.modules)")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    def test_import_does_not_load_process_pools(self, budget):
+        assert not {"multiprocessing", "concurrent.futures"} & budget("import-cli")[2]
+
+    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self, budget):
+        for row in ("point-queries", "orbit-through-argparse"):
+            assert not {"aristotle.algebra", "aristotle.dynamics"} & budget(row)[2]
+
+    def test_point_queries_load_no_argparse(self, budget):
+        out, _, seen = budget("point-queries")
+        assert (out, {"argparse", "gettext", "locale"} & seen) == ("p=31 q=3\np=31 q=6\n", set())
+
+    def test_runs_without_numpy(self, budget):
+        assert budget("orbit-through-argparse")[0] == "p=31 q=3\n"
+        assert budget("verify")[0].endswith(" 0 failed (seed=42, cases=2)\n")
 
     def test_verify_is_loaded_as_the_attribute_cli_verify(self):
         code = ("import sys, aristotle.cli as cli\n"
@@ -646,26 +652,6 @@ class TestSubprocess:
                 "assert not hasattr(cli, 'no_such_name')\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
-
-    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self, bare_python):
-        proc = bare_python(
-            "import aristotle.orbit\n"
-            "print('aristotle.algebra' in sys.modules)\n"
-            "from aristotle import cli\n"
-            "cli.main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31'])\n"
-            "cli.main(['act', '--mass', '5', '--g', '2', '--t', '3', '--h', '4',"
-            " '--p', '1', '--q', '2'])\n"
-            "print(sorted({'aristotle.algebra', 'aristotle.dynamics'} & set(sys.modules)))")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "False\np=31 q=3\np=31 q=6\n[]\n", "")
-
-    def test_point_queries_load_no_argparse(self, bare_python):
-        proc = bare_python(
-            "from aristotle import cli\n"
-            "cli.main(['orbit', '--m=5', '--g=2', '--e=-30', '--p=31'])\n"
-            "cli.main(['act', '--mass=5', '--g=2', '--t=3', '--h=4', '--p=1', '--q=2'])\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p=31 q=3\np=31 q=6\n[]\n", "")
 
     @pytest.mark.parametrize("argv", [
         ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"],
@@ -689,25 +675,52 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_import_does_not_load_process_pools(self):
-        code = ("import sys, aristotle.cli\n"
-                "sys.exit(bool({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
 
-    def test_runs_without_numpy(self):
-        # A None entry in sys.modules makes `import numpy` raise ImportError.
-        code = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from aristotle.cli import main\n"
-            "assert main(['orbit', '--m', '5', '--g', '2', '--e', '-30', '--p', '31']) == 0\n"
-            "assert main(['verify', '--cases', '5']) == 0\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("p=31 q=3\n")
-        assert proc.stdout.endswith("0 failed (seed=42, cases=5)\n")
+def _calls(*argvs):
+    """Code that runs each argv through cli.main, which must return 0."""
+    return "from aristotle import cli\n" + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in argvs)
+
+
+# The import budget of each entry point, which guards point_queries' import
+# floor: id -> (code, the stdout it writes as a regular expression, the modules
+# it must not import).  A module outside the standard library fails every row.
+IMPORT_BUDGETS = {
+    "import-cli": ("import aristotle.cli", "",
+                   "aristotle.verify aristotle.dynamics aristotle.algebra aristotle.write argparse"
+                   " dataclasses inspect typing __future__ multiprocessing concurrent.futures"),
+    "import-write": ("import aristotle.write", "", "aristotle.cli"),
+    "point-queries": (_calls(["orbit", "--m=5", "--g=2", "--e=-30", "--p=31"],
+                             ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1",
+                              "--q", "2"]),
+                      "p=31 q=3\np=31 q=6\n",
+                      "argparse gettext locale aristotle.algebra aristotle.dynamics"),
+    "orbit-through-argparse": (_calls(["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"]),
+                               "p=31 q=3\n", "aristotle.algebra aristotle.dynamics"),
+    "simulate-out": (_calls(["simulate", *SIM_FLAGS, "--out", "t.csv"])
+                     + "print(open('t.csv').read(), end='')", r"t,p,q,H\n(.*\n)*4,25,5,30\n", ""),
+    "verify": (_calls(["verify", "--cases", "2"]),
+               r"(PASS .*\n)+\d+ properties, 0 failed \(seed=42, cases=2\)\n", ""),
+}
+
+
+@pytest.fixture
+def budget(measured_python):
+    """The one measured run of an IMPORT_BUDGETS row: its stdout, the modules
+    it loaded from outside the standard library, and every module it loaded
+    or tried to import."""
+    return lambda row: measured_python(IMPORT_BUDGETS[row][0])
+
+
+@pytest.mark.parametrize("row", IMPORT_BUDGETS)
+def test_import_budget(row, budget):
+    """Each entry point, run where `import numpy` raises ImportError, writes
+    its answer, loads only the standard library, and tries to import neither
+    numpy (as a guarded import would) nor a module its row forbids."""
+    _, stdout, forbidden = IMPORT_BUDGETS[row]
+    out, outside, seen = budget(row)
+    assert re.fullmatch(stdout, out), out
+    assert (outside, seen & {"numpy", *forbidden.split()}) == (set(), set())
+
 
 @needs_dev_full
 @pytest.mark.parametrize("argv, cpus", [

@@ -2,9 +2,12 @@
 dependency, and no subcommand loads a module from outside the standard
 library."""
 
+import re
 from pathlib import Path
 
 import pytest
+
+from test_cli import IMPORT_BUDGETS
 
 try:
     import tomllib
@@ -20,21 +23,14 @@ def test_pyproject_declares_no_runtime_dependency():
     assert project["dependencies"] == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"],
-    ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"],
-    ["simulate", "--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5",
-     "--t-max", "4", "--out", "OUT"],
-    ["verify", "--cases", "2"],
-], ids=lambda argv: argv[0])
-def test_each_subcommand_loads_only_the_standard_library(argv, tmp_path, bare_python):
-    argv = [str(tmp_path / "trajectory.csv") if a == "OUT" else a for a in argv]
-    proc = bare_python("from aristotle import cli\n"
-                       "code = cli.main(sys.argv[1:])\n"
-                       "tops = {name.partition('.')[0] for name in sys.modules}\n"
-                       "print(sorted(tops - sys.stdlib_module_names - {'aristotle', '__main__'}),"
-                       " file=sys.stderr)\n"
-                       "sys.exit(code)", *argv, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "[]\n")
-    out = (tmp_path / "trajectory.csv").read_text() if argv[0] == "simulate" else proc.stdout
-    assert out.count("\n") > 1 or out.startswith("p=")  # the command wrote its answer
+# subcommand -> the IMPORT_BUDGETS row whose one measured run this test reads
+SUBCOMMAND_ROWS = {"orbit": "orbit-through-argparse", "act": "point-queries",
+                   "simulate": "simulate-out", "verify": "verify"}
+
+
+@pytest.mark.parametrize("row", SUBCOMMAND_ROWS.values(), ids=SUBCOMMAND_ROWS)
+def test_each_subcommand_loads_only_the_standard_library(row, measured_python):
+    code, stdout, _ = IMPORT_BUDGETS[row]
+    out, outside, _ = measured_python(code)
+    assert outside == set()
+    assert re.fullmatch(stdout, out), out  # the command wrote its answer

@@ -1,22 +1,22 @@
 """Verification engine: determinism, report semantics, and mutation killing."""
 
 import ast
+import contextlib
 import inspect
+import io
 import math
 import tracemalloc
 import types
-from functools import partial
+from functools import cache, partial
+from unittest import mock
 
 import pytest
 
 import chain
-from aristotle import algebra, dynamics, group, orbit, verify
+from aristotle import algebra, cli, dynamics, group, orbit, verify
 from aristotle.group import ExtendedElement
+from aristotle.orbit import OrbitPoint
 from aristotle.record import Record
-
-
-def result_map(results):
-    return {r.name: r for r in results}
 
 
 class TestReport:
@@ -30,8 +30,6 @@ class TestReport:
         assert first == second
 
     def test_lines_format(self, capsys):
-        from aristotle import cli
-
         results = verify.run_verify(seed=1, cases=5)
         assert cli.main(["verify", "--seed", "1", "--cases", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -43,7 +41,7 @@ class TestReport:
 
     def test_exact_properties_report_zero(self):
         report = verify.run_verify(seed=3, cases=100)
-        for result in result_map(report).values():
+        for result in report:
             if result.tolerance == 0.0:
                 assert result.max_violation == 0.0
 
@@ -63,119 +61,6 @@ class TestReport:
             tracemalloc.stop()
         assert result.passed and 0.99 < result.max_violation < 1.0
         assert peak < 64 * 1024
-
-
-def flat_multiply(g, a, b):
-    return ExtendedElement(a.xi + b.xi, a.t + b.t, a.h + b.h)
-
-
-class TestCocycleMutation:
-    """Dropping the cocycle term from the extended product must be caught.
-
-    The mutated product stays associative (it is the direct product's), so
-    associativity and the identity law still hold; what fails is the
-    inverse, which still carries the cocycle, and the consistency between
-    the group product and the dual action.
-    """
-
-    FAILED = {"extended_inverse", "canonical_product_law", "coadjoint_equivariance",
-              "adjoint_closed_form_matches_conjugation"}
-
-    @pytest.fixture
-    def mutated(self, monkeypatch):
-        monkeypatch.setattr(group, "multiply_extended", flat_multiply)
-
-    def test_mutation_is_killed(self, mutated):
-        results = verify.run_verify(seed=42, cases=50)
-        assert {r.name for r in results if not r.passed} == self.FAILED
-
-    def test_cli_exits_one(self, mutated, capsys):
-        from aristotle import cli
-
-        code = cli.main(["verify", "--seed", "42", "--cases", "50"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL coadjoint_equivariance" in out
-
-
-class TestDirectProductMutation(TestCocycleMutation):
-    """The untwisted direct product, its inverse too, must be caught.
-
-    Every group law then holds, so only the three 1e-9-class properties that
-    tie the product to the dual action fail: a run that loosened that class
-    would pass a group without the central extension.
-    """
-
-    FAILED = {"canonical_product_law", "coadjoint_equivariance",
-              "adjoint_closed_form_matches_conjugation"}
-
-    @pytest.fixture
-    def mutated(self, monkeypatch):
-        monkeypatch.setattr(group, "multiply_extended", flat_multiply)
-        monkeypatch.setattr(group, "inverse_extended",
-                            lambda g, a: ExtendedElement(-a.xi, -a.t, -a.h))
-
-
-class TestNaNViolationMutation:
-    """A property whose check returns NaN must FAIL, not read as 0.
-
-    max(0.0, nan) is 0.0, so a runner that folds violations with max alone
-    would pass a cocycle that is NaN everywhere.
-    """
-
-    @pytest.fixture
-    def mutated(self, monkeypatch):
-        monkeypatch.setattr(group, "cocycle", lambda g, a, b: math.nan)
-
-    def test_mutation_is_killed(self, mutated):
-        by_name = result_map(verify.run_verify(seed=1, cases=20))
-        for name in ("cocycle_identity", "cocycle_coboundary"):
-            assert not by_name[name].passed
-            assert math.isnan(by_name[name].max_violation)
-
-    def test_cli_exits_one(self, mutated, capsys):
-        from aristotle import cli
-
-        assert cli.main(["verify", "--seed", "1", "--cases", "20"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert "FAIL cocycle_identity max_violation=nan" in lines
-        assert "FAIL cocycle_coboundary max_violation=nan" in lines
-        assert lines[-1] == "39 properties, 2 failed (seed=1, cases=20)"
-
-    def test_nan_stays_the_worst_case(self, monkeypatch):
-        violations = iter([0.5, math.nan, 2.0])
-        prop = verify.Property("p", 1.0, lambda rng: next(violations))
-        monkeypatch.setattr(verify, "PROPERTIES", (prop,))
-        (result,) = verify.run_verify(seed=1, cases=3)
-        assert math.isnan(result.max_violation) and not result.passed
-
-
-class TestNaNInOneComparedValue:
-    """A NaN in any value a check compares must FAIL its property.
-
-    max() keeps a NaN only when it comes first, so a check that folds its
-    comparisons with max alone passes a NaN that follows a finite value.
-    """
-
-    def test_nan_hamiltonian_after_a_finite_sample(self, monkeypatch):
-        from aristotle import dynamics
-
-        real = dynamics.hamiltonian
-        # The first sample's p is p0, in [-10, 10]; later samples reach past 12.
-        monkeypatch.setattr(dynamics, "hamiltonian",
-                            lambda ctx, pt: math.nan if pt.p > 12.0 else real(ctx, pt))
-        by_name = result_map(verify.run_verify(seed=1, cases=200))
-        for name in ("energy_conservation_exact", "energy_conservation_euler"):
-            assert not by_name[name].passed
-            assert math.isnan(by_name[name].max_violation)
-        assert by_name["hamiltonian_p_independence"].passed
-
-    def test_nan_second_coordinate_of_spacetime_act(self, monkeypatch):
-        # The real function refuses a NaN x0, so the mutant does not call it.
-        monkeypatch.setattr(group, "spacetime_act", lambda a, t, x: (t + a.t, math.nan))
-        result = result_map(verify.run_verify(seed=1, cases=20))["spacetime_action_law"]
-        assert not result.passed
-        assert math.isnan(result.max_violation)
 
 
 def _own_nodes(function):
@@ -216,84 +101,168 @@ def test_violation_refuses_sides_of_unequal_length(lhs, rhs):
         verify._violation((lhs, rhs, verify._absdiff))
 
 
-class TestEnergyMutation:
-    """A kinetic term in H must fail both energy properties.
-
-    The sampler copies one H into every sample, so only evaluating the
-    Hamiltonian at each sampled point can see that H depends on p.
-    """
-
-    @pytest.fixture
-    def mutated(self, monkeypatch):
-        from aristotle import dynamics
-
-        def with_kinetic_term(ctx, pt):
-            return ctx.m * ctx.g * pt.q + pt.p ** 2 / (2.0 * ctx.m)
-
-        monkeypatch.setattr(dynamics, "hamiltonian", with_kinetic_term)
-
-    def test_mutation_is_killed(self, mutated):
-        by_name = result_map(verify.run_verify(seed=42, cases=50))
-        assert not by_name["energy_conservation_exact"].passed
-        assert not by_name["energy_conservation_euler"].passed
-        assert not by_name["hamiltonian_p_independence"].passed
-
-
-class TestMovingPositionMutation:
-    """A flow that moves q must fail static_position.
-
-    Every sample carries q0, so only comparing the samples with the
-    closed-form flow can see that the flow no longer freezes q.
-    """
-
-    @pytest.fixture
-    def mutated(self, monkeypatch):
-        from aristotle import dynamics
-        from aristotle.orbit import OrbitPoint
-
-        def drifting_flow(ctx, pt, t):
-            return OrbitPoint(pt.p + ctx.m * ctx.g * t, pt.q + 1e-3 * t)
-
-        monkeypatch.setattr(dynamics, "evolve_exact", drifting_flow)
-
-    def test_mutation_is_killed(self, mutated):
-        by_name = result_map(verify.run_verify(seed=42, cases=50))
-        assert not by_name["static_position"].passed
-        assert not by_name["generator_finite_difference"].passed
-
-
 hamiltonian, pairing, table = dynamics.hamiltonian, orbit.pairing, algebra.aristotle_bracket_table
+multiply, inverse = group.multiply_extended, group.inverse_extended
 
 
-@pytest.mark.parametrize("module, name, mutant, failed", [
-    (dynamics, "hamiltonian", lambda ctx, pt: -hamiltonian(ctx, pt), "hamiltonian_is_time_momentum"),
-    (dynamics, "hamiltonian", lambda ctx, pt: 2.0 * hamiltonian(ctx, pt),
-     "hamiltonian_is_time_momentum"),
-    (dynamics, "hamiltonian", lambda ctx, pt: hamiltonian(ctx, pt) + 1.0,
-     "hamiltonian_is_time_momentum"),
-    (orbit, "pairing", lambda f, x: -pairing(f, x), "momentum_map_realizes_pairing"),
-    (orbit, "pairing", lambda f, x: 2.0 * pairing(f, x), "momentum_map_realizes_pairing"),
-], ids=["hamiltonian_negated", "hamiltonian_doubled", "hamiltonian_plus_one",
-        "pairing_negated", "pairing_doubled"])
-def test_scaled_hamiltonian_or_pairing_is_killed(module, name, mutant, failed, monkeypatch):
-    # The energy properties compare H with cfg.energy, which calls the same
-    # function, and the pairing properties are invariant under scaling: only
-    # the identities that tie H and the pairing to the momentum map see these.
-    monkeypatch.setattr(module, name, mutant)
-    results = verify.run_verify(seed=42, cases=20)
-    assert [r.name for r in results if not r.passed] == [failed]
+def flat_multiply(g, a, b):
+    return ExtendedElement(a.xi + b.xi, a.t + b.t, a.h + b.h)
 
 
-@pytest.mark.parametrize("mutant", [lambda g: table(2 * g), lambda g: table(-g),
-                                    lambda g: table(g + 1)],
-                         ids=["g_doubled", "g_negated", "g_plus_one"])
-def test_changed_bracket_table_is_killed(mutant, monkeypatch):
-    # The mutation gate reads no number of a table, whose constants sit three
-    # levels deep.  Any g gives a Lie algebra, so only the identity that ties
-    # the bracket to the Poisson bracket of the momentum map sees the change.
-    monkeypatch.setattr(algebra, "aristotle_bracket_table", mutant)
-    results = verify.run_verify(seed=42, cases=20)
-    assert [r.name for r in results if not r.passed] == ["momentum_map_antihomomorphism"]
+SCALED = ("the energy properties compare H with cfg.energy, which calls the same function, and the"
+          " pairing properties are invariant under scaling: only the momentum-map identities see it")
+TABLE_G = ("any g gives a Lie algebra, so only the identity that ties the bracket to the Poisson"
+           " bracket of the momentum map sees it; the function-result gate reaches no table constant")
+
+# Hand-written mutants: id -> (module, {name: mutant}, the properties that must
+# FAIL, each as name or name=max_violation, and why only those see it).
+MUTANTS = {
+    "cocycle_dropped": (
+        group, {"multiply_extended": flat_multiply},
+        "extended_inverse canonical_product_law coadjoint_equivariance"
+        " adjoint_closed_form_matches_conjugation",
+        "the product stays associative (the direct product's); the inverse still carries the"
+        " cocycle, and the product no longer matches the dual action"),
+    "direct_product": (
+        group, {"multiply_extended": flat_multiply,
+                "inverse_extended": lambda g, a: ExtendedElement(-a.xi, -a.t, -a.h)},
+        "canonical_product_law coadjoint_equivariance adjoint_closed_form_matches_conjugation",
+        "every group law holds, so only the 1e-9-class properties that tie the product to the"
+        " dual action see a group without the central extension"),
+    "group_g_off_by_1e-6": (
+        group, {"multiply_extended": lambda g, a, b: multiply(g * (1 + 1e-6), a, b),
+                "inverse_extended": lambda g, a: inverse(g * (1 + 1e-6), a)},
+        "canonical_product_law coadjoint_equivariance adjoint_closed_form_matches_conjugation",
+        "every group law holds for any g, so only those properties see the extension's g off by"
+        " 1e-6, at violations below 1e-3: a run that loosened their class would pass it"),
+    "cocycle_nan": (
+        group, {"cocycle": lambda g, a, b: math.nan},
+        "cocycle_identity=nan cocycle_coboundary=nan",
+        "max(0.0, nan) is 0.0: a runner that folds with max alone would pass a NaN cocycle"),
+    "hamiltonian_nan_after_finite": (
+        # The first sample's p is p0, in [-10, 10]; later samples reach past 12.
+        dynamics, {"hamiltonian": lambda ctx, pt: math.nan if pt.p > 12.0 else hamiltonian(ctx, pt)},
+        "energy_conservation_exact=nan energy_conservation_euler=nan",
+        "max() keeps a NaN only when it comes first, so a check folding with max alone would"
+        " pass a NaN after a finite sample"),
+    "spacetime_act_nan_x": (
+        # The real function refuses a NaN x0, so the mutant does not call it.
+        group, {"spacetime_act": lambda a, t, x: (t + a.t, math.nan)},
+        "spacetime_action_law=nan",
+        "a NaN in the second compared coordinate must fail as one in the first does"),
+    "hamiltonian_kinetic_term": (
+        dynamics, {"hamiltonian": lambda ctx, pt: ctx.m * ctx.g * pt.q + pt.p ** 2 / (2.0 * ctx.m)},
+        "energy_conservation_exact energy_conservation_euler hamiltonian_p_independence"
+        " hamiltonian_is_time_momentum",
+        "the sampler copies one H into every sample, so only evaluating H at each sampled point,"
+        " or against the time momentum, sees that H depends on p"),
+    "flow_moves_q": (
+        dynamics,
+        {"evolve_exact": lambda ctx, pt, t: OrbitPoint(pt.p + ctx.m * ctx.g * t, pt.q + 1e-3 * t)},
+        "static_position generator_finite_difference",
+        "every sample carries q0, so only comparing the samples with the closed-form flow sees"
+        " that it moves q; the drift still composes"),
+    "hamiltonian_negated": (dynamics, {"hamiltonian": lambda ctx, pt: -hamiltonian(ctx, pt)},
+                            "hamiltonian_is_time_momentum", SCALED),
+    "hamiltonian_doubled": (dynamics, {"hamiltonian": lambda ctx, pt: 2.0 * hamiltonian(ctx, pt)},
+                            "hamiltonian_is_time_momentum", SCALED),
+    "hamiltonian_plus_one": (dynamics, {"hamiltonian": lambda ctx, pt: hamiltonian(ctx, pt) + 1.0},
+                             "hamiltonian_is_time_momentum", SCALED),
+    "pairing_negated": (orbit, {"pairing": lambda f, x: -pairing(f, x)},
+                        "momentum_map_realizes_pairing", SCALED),
+    "pairing_doubled": (orbit, {"pairing": lambda f, x: 2.0 * pairing(f, x)},
+                        "momentum_map_realizes_pairing", SCALED),
+    "table_g_doubled": (algebra, {"aristotle_bracket_table": lambda g: table(2 * g)},
+                        "momentum_map_antihomomorphism", TABLE_G),
+    "table_g_negated": (algebra, {"aristotle_bracket_table": lambda g: table(-g)},
+                        "momentum_map_antihomomorphism", TABLE_G),
+    "table_g_plus_one": (algebra, {"aristotle_bracket_table": lambda g: table(g + 1)},
+                         "momentum_map_antihomomorphism", TABLE_G),
+    "jacobi_grade_negative": (
+        algebra, {"jacobi_violation": lambda table: -1.0},
+        "jacobi_identity=1.0",
+        "a grade below 0 is a defect too: the check scores it through _violation, not as the"
+        " worst of it and 0"),
+}
+
+
+@cache
+def verify_under(row):
+    """Exit code and output lines of the row's one `aristotle verify --seed 1
+    --cases 20` run, with its mutant patched in."""
+    module, patches, *_ = MUTANTS[row]
+    with contextlib.ExitStack() as stack:
+        for name, mutant in patches.items():
+            stack.enter_context(mock.patch.object(module, name, mutant))
+        out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        code = cli.main(["verify", "--seed", "1", "--cases", "20"])
+    return code, out.getvalue().splitlines()
+
+
+def assert_fails_exactly(row):
+    """The run has exactly the row's FAIL lines, with the violations it pins."""
+    *_, failed, reason = MUTANTS[row]
+    expected = dict(spec.partition("=")[::2] for spec in failed.split())
+    fails = dict(line.removeprefix("FAIL ").split(" max_violation=")
+                 for line in verify_under(row)[1] if line.startswith("FAIL "))
+    pinned = {name: value if expected.get(name) else "" for name, value in fails.items()}
+    assert pinned == expected, reason
+
+
+def assert_exits_one(row):
+    """The run exits 1, and its summary counts the row's FAIL lines."""
+    code, (*_, summary) = verify_under(row)
+    failed = len(MUTANTS[row][2].split())
+    assert (code, summary) == (
+        1, f"{len(verify.PROPERTIES)} properties, {failed} failed (seed=1, cases=20)")
+
+
+@pytest.mark.parametrize("row", MUTANTS)
+def test_verify_fails_exactly_the_properties_that_see_a_mutant(row):
+    """One `aristotle verify` run per mutant exits 1 with exactly its FAIL
+    lines, and with the violation a row pins, such as nan."""
+    assert_fails_exactly(row)
+    assert_exits_one(row)
+
+
+class MutantRowChecks:
+    """A row's two checks under the names they had before the table; both
+    read the row's one run."""
+
+    def test_mutation_is_killed(self):
+        assert_fails_exactly(self.ROW)
+
+    def test_cli_exits_one(self):
+        assert_exits_one(self.ROW)
+
+
+class TestCocycleMutation(MutantRowChecks):
+    """Dropping the cocycle term from the extended product."""
+
+    ROW = "cocycle_dropped"
+
+
+class TestDirectProductMutation(MutantRowChecks):
+    """The untwisted direct product, its inverse too."""
+
+    ROW = "direct_product"
+
+
+class TestNaNViolationMutation(MutantRowChecks):
+    """A property whose case returns NaN must FAIL, not read as 0.
+
+    max(0.0, nan) is 0.0, so a runner that folds violations with max alone
+    would pass it, as the table's NaN cocycle row shows through the CLI.
+    """
+
+    ROW = "cocycle_nan"
+
+    def test_nan_stays_the_worst_case(self, monkeypatch):
+        violations = iter([0.5, math.nan, 2.0])
+        prop = verify.Property("p", 1.0, lambda rng: next(violations))
+        monkeypatch.setattr(verify, "PROPERTIES", (prop,))
+        (result,) = verify.run_verify(seed=1, cases=3)
+        assert math.isnan(result.max_violation) and not result.passed
 
 
 MUTATIONS = {"negated": lambda x: -x, "doubled": lambda x: 2 * x, "plus_one": lambda x: x + 1}
@@ -378,12 +347,3 @@ def test_verify_kills_every_mutant_but_the_equivalent_ones(monkeypatch):
                 if not killed:
                     survivors.add(f"{label} {mutation}")
     assert survivors == EQUIVALENT_MUTANTS
-
-
-def test_negative_jacobi_grade_fails(monkeypatch):
-    """A grade below 0 is a defect too: the check scores it through
-    _violation, not as the worst of it and 0."""
-    monkeypatch.setattr(algebra, "jacobi_violation", lambda table: -1.0)
-    result = result_map(verify.run_verify(1, 20))["jacobi_identity"]
-    assert not result.passed
-    assert result.max_violation == 1.0
