@@ -4,7 +4,9 @@ Each property draws its own deterministic input stream, seeded by the pair
 (seed, property name), so results never depend on the order in which
 properties run and the suite can be sharded without coordination.  A case's
 violation is the worst absolute or relative difference over the values its
-check compares through ``_violation``.  A property reports its worst
+check compares through ``_violation``; a value exact in doubles by
+construction is compared with ``==`` instead (``_equal``: +0.0 and -0.0 are
+equal, and a mismatch reads inf).  A property reports its worst
 violation over the requested number of cases and passes when that maximum
 stays within its tolerance; a NaN in any compared value is the worst case
 and fails.  ``record.worst`` alone owns that fold, over a case's values and
@@ -25,6 +27,7 @@ Coordinates are drawn from [-10, 10], the acceleration from
 {1, -1, 2, -2, 9.81}, and orbit masses from +/-[0.5, 10].
 """
 
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -101,6 +104,11 @@ def _reldiff(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
+def _equal(x: float, y: float) -> float:
+    """0.0 if x == y, else inf; a NaN stays NaN."""
+    return 0.0 if x == y else abs(x - y) * math.inf
+
+
 def _numbers(x) -> tuple:
     """A record's fields, a tuple of numbers, the flattened items of a tuple of
     records or tuples, or a number alone."""
@@ -140,7 +148,7 @@ def _check_bracket_bilinearity(rng: random.Random) -> float:
     a, b, c = (_algebra_element(rng) for _ in range(3))
     lhs = algebra.bracket(table, alpha * a + b, c)
     rhs = alpha * algebra.bracket(table, a, c) + algebra.bracket(table, b, c)
-    return _violation((lhs, rhs, _reldiff))
+    return _violation((lhs.c_M, rhs.c_M, _reldiff), ((lhs.c_P, lhs.c_E), (rhs.c_P, rhs.c_E), _equal))
 
 
 def _check_jacobi_identity(rng: random.Random) -> float:
@@ -200,8 +208,9 @@ def _check_extended_inverse(rng: random.Random) -> float:
     g = _gravity(rng)
     a = _extended(rng)
     inv = group.inverse_extended(g, a)
-    products = (group.multiply_extended(g, a, inv), group.multiply_extended(g, inv, a))
-    return _violation((products, (group.EXTENDED_IDENTITY, group.EXTENDED_IDENTITY), _absdiff))
+    left, right = group.multiply_extended(g, a, inv), group.multiply_extended(g, inv, a)
+    return _violation(((left.xi, right.xi), (0.0, 0.0), _absdiff),
+                      ((left.t, left.h, right.t, right.h), (0.0,) * 4, _equal))
 
 
 def _check_central_commutes(rng: random.Random) -> float:
@@ -241,7 +250,8 @@ def _check_canonical_product_law(rng: random.Random) -> float:
         ),
     )
     direct = group.multiply_canonical(g, a, b)
-    return _violation((via_conversion, direct, _absdiff))
+    return _violation((via_conversion.xi, direct.xi, _absdiff),
+                      ((via_conversion.t, via_conversion.h), (direct.t, direct.h), _equal))
 
 
 def _check_canonical_round_trip(rng: random.Random) -> float:
@@ -249,7 +259,8 @@ def _check_canonical_round_trip(rng: random.Random) -> float:
     a = _extended(rng)
     there_back = group.from_canonical_coords(g, group.to_canonical_coords(g, a))
     back_there = group.to_canonical_coords(g, group.from_canonical_coords(g, a))
-    return _violation(((there_back, back_there), (a, a), _absdiff))
+    return _violation(((there_back.xi, back_there.xi), (a.xi, a.xi), _absdiff),
+                      ((there_back.t, there_back.h, back_there.t, back_there.h), (a.t, a.h) * 2, _equal))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +324,8 @@ def _check_chart_round_trip(rng: random.Random) -> float:
     back = orbit.to_chart(ctx, orbit.from_chart(ctx, pt))
     f = orbit.CoadjointPoint(ctx.m, _coord(rng), _coord(rng))
     forth = orbit.from_chart(ctx, orbit.to_chart(ctx, f))
-    return _violation(((back, forth), (pt, f), _reldiff))
+    return _violation(((back.q, forth.e), (pt.q, f.e), _reldiff),
+                      ((back.p, forth.m, forth.p), (pt.p, f.m, f.p), _equal))
 
 
 def _check_chart_equivariance(rng: random.Random) -> float:
@@ -415,7 +427,7 @@ def _check_energy_conservation(integrator: str, rng: random.Random) -> float:
     so only this evaluation sees a Hamiltonian that depends on p."""
     cfg = _simulation_config(rng, integrator)
     energies = tuple(dynamics.hamiltonian(cfg, orbit.OrbitPoint(p, cfg.q0)) for _, p in dynamics.sample_rows(cfg))
-    return _violation((energies, (cfg.energy,) * len(energies), _absdiff))
+    return _violation((energies, (cfg.energy,) * len(energies), _equal))
 
 
 def _check_momentum_linear(integrator: str, rng: random.Random) -> float:
@@ -452,7 +464,8 @@ def _check_generator_finite_difference(rng: random.Random) -> float:
     # Forward-time drift from the closed-form flow.
     dt_ = _central(dynamics.evolve_exact(ctx, pt, s), dynamics.evolve_exact(ctx, pt, -s), s)
     drift = dynamics.physical_drift(ctx)
-    return _violation(((de, dp_, dt_, drift), (gen_e, gen_p, drift, (-gen_e.dp, -gen_e.dq)), _absdiff))
+    return _violation(((de, dp_, dt_), (gen_e, gen_p, drift), _absdiff),
+                      (drift, (-gen_e.dp, -gen_e.dq), _equal))
 
 
 def _check_hamiltons_equations(rng: random.Random) -> float:

@@ -1,7 +1,7 @@
 """Fixtures that set how many CPUs `aristotle simulate` sees, so both of its
 writing paths (rows formatted in process, or by forked workers) run on any
-host, and two that run code in a bare interpreter: as it is, or once per code
-with the modules it imports measured."""
+host, and one that runs code once in a bare interpreter with the modules it
+imports measured; tests that run code there as it is call `run_bare`."""
 
 import ast
 import functools
@@ -43,12 +43,6 @@ def run_bare(code, *argv, text=True, **kwargs):
     code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
     return subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                           text=text, **kwargs)
-
-
-@pytest.fixture
-def bare_python():
-    """run_bare, for tests that take it as a fixture."""
-    return run_bare
 
 
 @functools.cache

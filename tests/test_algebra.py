@@ -41,22 +41,6 @@ def corrupted_table(g):
 
 
 class TestBracket:
-    def test_bilinearity_random(self):
-        rng = random.Random(2)
-        table = aristotle_bracket_table(-2.0)
-        for _ in range(200):
-            alpha = rng.uniform(-10, 10)
-            a, b, c = (
-                AlgebraElement(*(rng.uniform(-10, 10) for _ in range(3)))
-                for _ in range(3)
-            )
-            lhs = bracket(table, alpha * a + b, c)
-            rhs = alpha * bracket(table, a, c) + bracket(table, b, c)
-            scale = max(1.0, abs(lhs.c_M), abs(rhs.c_M))
-            assert abs(lhs.c_M - rhs.c_M) / scale <= 1e-12
-            assert lhs.c_P == rhs.c_P == 0.0
-            assert lhs.c_E == rhs.c_E == 0.0
-
     def test_rejects_wrong_dimension(self):
         table = BracketTable(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):

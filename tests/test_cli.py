@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle import cli, dynamics, write
+from conftest import run_bare
 from test_dynamics import GRID_VALUES
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
@@ -579,14 +580,6 @@ def test_options_are_pinned(subcommand, capsys):
 class TestSubprocess:
     """End-to-end through a real interpreter, exercising the module entry."""
 
-    def test_simulate_pipeline(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "aristotle.cli", "simulate", *SIM_FLAGS],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[-1] == "4,25,5,30"
-
     def test_simulate_reader_closes_pipe_early(self, cli_command):
         # 1e5 rows overflow the pipe buffer, so writing fails once the reader
         # is gone: in process with one CPU, in a forked worker with two.
@@ -658,12 +651,12 @@ class TestSubprocess:
         ["orbit", "--help"],
         ["act", "--ma=5", "--g=2", "--t=3", "--h=4", "--p=1", "--q=2"],
     ], ids=["separate-negative", "help", "abbreviation"])
-    def test_other_command_lines_print_what_argparse_prints(self, argv, bare_python):
+    def test_other_command_lines_print_what_argparse_prints(self, argv):
         head = "from aristotle import cli\n"
         main = head + "code = cli.main(sys.argv[1:]); assert 'argparse' in sys.modules; sys.exit(code)"
         reference = head + ("args = cli.build_parser().parse_args(sys.argv[1:]); "
                              "sys.exit(getattr(cli, f'cmd_{args.subcommand}')(args))")
-        got, expected = (bare_python(code, *argv, text=False) for code in (main, reference))
+        got, expected = (run_bare(code, *argv, text=False) for code in (main, reference))
         assert (got.returncode, got.stdout, got.stderr) == (
             expected.returncode, expected.stdout, expected.stderr)
 
@@ -697,7 +690,8 @@ IMPORT_BUDGETS = {
     "orbit-through-argparse": (_calls(["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"]),
                                "p=31 q=3\n", "aristotle.algebra aristotle.dynamics"),
     "simulate-out": (_calls(["simulate", *SIM_FLAGS, "--out", "t.csv"])
-                     + "print(open('t.csv').read(), end='')", r"t,p,q,H\n(.*\n)*4,25,5,30\n", ""),
+                     + "print(open('t.csv').read(), end='')", r"t,p,q,H\n(.*\n)*4,25,5,30\n",
+                     "aristotle.verify aristotle.algebra dataclasses"),
     "verify": (_calls(["verify", "--cases", "2"]),
                r"(PASS .*\n)+\d+ properties, 0 failed \(seed=42, cases=2\)\n", ""),
 }

@@ -73,16 +73,18 @@ def _own_nodes(function):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def test_checks_compare_only_through_violation():
+def test_checks_compare_only_through_violation(monkeypatch):
     """No check folds, measures or scores its own values: each returns a
     verify._violation call, where a NaN anywhere is the worst and a negative
-    or signed verdict is a difference like any other."""
+    or signed verdict is a difference like any other, and every comparison it
+    passes, a starred list's too, names one of the three measures."""
     tree = ast.parse(inspect.getsource(verify))
     checks = [node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")]
     assert len(checks) >= 30
     for check in checks:
         for node in ast.walk(check):
+            assert not isinstance(node, ast.Lambda), (check.name, node.lineno)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("abs", "max"), (check.name, node.lineno)
         returns = [node for node in _own_nodes(check) if isinstance(node, ast.Return)]
@@ -91,6 +93,15 @@ def test_checks_compare_only_through_violation():
             assert isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name), (
                 check.name, node.lineno)
             assert node.value.func.id == "_violation", (check.name, node.lineno)
+    measures, violation = set(), verify._violation
+
+    def spy(*comparisons):
+        measures.update(measure for *_, measure in comparisons)
+        return violation(*comparisons)
+
+    monkeypatch.setattr(verify, "_violation", spy)
+    verify.run_verify(1, 2)
+    assert measures == {verify._absdiff, verify._reldiff, verify._equal}
 
 
 @pytest.mark.parametrize("lhs, rhs", [((1.0, 2.0), (1.0,)), (orbit.OrbitPoint(1.0, 5.0), (1.0,))],
@@ -103,14 +114,33 @@ def test_violation_refuses_sides_of_unequal_length(lhs, rhs):
 
 hamiltonian, pairing, table = dynamics.hamiltonian, orbit.pairing, algebra.aristotle_bracket_table
 multiply, inverse = group.multiply_extended, group.inverse_extended
+to_canonical, multiply_canonical = group.to_canonical_coords, group.multiply_canonical
+from_chart, generator_left = orbit.from_chart, dynamics.generator_left
 
 
 def flat_multiply(g, a, b):
     return ExtendedElement(a.xi + b.xi, a.t + b.t, a.h + b.h)
 
 
+def _changed(result, path, change):
+    """result with the number at path changed, rebuilt through its class."""
+    if not path:
+        return change(result)
+    (key,) = path
+    if isinstance(result, Record):
+        return type(result)(**{**vars(result), key: change(getattr(result, key))})
+    return (*result[:key], change(result[key]), *result[key + 1:])
+
+
+def ulp_up(result, field):
+    """result with the named field moved one ulp up."""
+    return _changed(result, (field,), lambda x: math.nextafter(x, math.inf))
+
+
 SCALED = ("the energy properties compare H with cfg.energy, which calls the same function, and the"
           " pairing properties are invariant under scaling: only the momentum-map identities see it")
+ULP = ("the value is exact in doubles, so verify compares it with ==: one ulp off reads inf,"
+       " where a tolerance class would pass it")
 TABLE_G = ("any g gives a Lie algebra, so only the identity that ties the bracket to the Poisson"
            " bracket of the momentum map sees it; the function-result gate reaches no table constant")
 
@@ -183,6 +213,20 @@ MUTANTS = {
         "jacobi_identity=1.0",
         "a grade below 0 is a defect too: the check scores it through _violation, not as the"
         " worst of it and 0"),
+    "inverse_t_ulp_up": (group, {"inverse_extended": lambda g, a: ulp_up(inverse(g, a), "t")},
+                         "extended_inverse=inf", ULP),
+    "to_canonical_h_ulp_up": (
+        group, {"to_canonical_coords": lambda g, a: ulp_up(to_canonical(g, a), "h")},
+        "canonical_product_law=inf canonical_round_trip=inf", ULP),
+    "multiply_canonical_t_ulp_up": (
+        group, {"multiply_canonical": lambda g, a, b: ulp_up(multiply_canonical(g, a, b), "t")},
+        "canonical_product_law=inf", ULP),
+    "from_chart_p_ulp_up": (orbit, {"from_chart": lambda ctx, pt: ulp_up(from_chart(ctx, pt), "p")},
+                            "chart_round_trip=inf", ULP),
+    "generator_e_dp_ulp_up": (
+        dynamics, {"generator_left": lambda ctx, which: ulp_up(generator_left(ctx, which), "dp")
+                   if which == "E" else generator_left(ctx, which)},
+        "generator_finite_difference=inf", ULP),
 }
 
 
@@ -283,16 +327,6 @@ EQUIVALENT_MUTANTS = {
     "dimension_of.length_exp negated", "dimension_of.length_exp doubled",
     "dimension_of.time_exp negated", "dimension_of.time_exp doubled",
 }
-
-
-def _changed(result, path, change):
-    """result with the number at path changed, rebuilt through its class."""
-    if not path:
-        return change(result)
-    (key,) = path
-    if isinstance(result, Record):
-        return type(result)(**{**vars(result), key: change(getattr(result, key))})
-    return (*result[:key], change(result[key]), *result[key + 1:])
 
 
 def _on_results(fn, apply):
