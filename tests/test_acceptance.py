@@ -30,7 +30,7 @@ from aristotle.algebra import (
     jacobi_violation,
     pairing_dimension_check,
 )
-from aristotle.dynamics import SimulationConfig, evolve_exact, hamiltonian, simulate
+from aristotle.dynamics import SimulationConfig, evolve_exact, hamiltonian, sample_rows
 from aristotle.group import BaseElement
 from aristotle.orbit import (
     AffineObservable,
@@ -137,8 +137,8 @@ def test_criterion_07_dynamics_suite(monkeypatch):
             p0=rng.uniform(-10.0, 10.0), q0=rng.uniform(-10.0, 10.0),
             t_max=dt * rng.uniform(1.0, 40.0), dt=dt,
         )
-        exact = simulate(SimulationConfig(**base, integrator="exact"))
-        euler = simulate(SimulationConfig(**base, integrator="symplectic_euler"))
+        exact = list(sample_rows(SimulationConfig(**base, integrator="exact")))
+        euler = list(sample_rows(SimulationConfig(**base, integrator="symplectic_euler")))
         assert len(exact) == len(euler)
         for (te, pe), (ty, py) in zip(exact, euler):
             assert te == ty

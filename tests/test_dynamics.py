@@ -98,54 +98,13 @@ class TestGenerators:
         assert dq_dt == drift.dq == 0.0
 
 
-class TestSimulate:
-    def test_worked_trajectory(self):
-        cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
-        samples = simulate(cfg)
-        assert len(samples) == 9
-        assert samples[0] == (0.0, 1.0)
-        assert samples[-1] == (4.0, 25.0)
-        assert (cfg.q0, cfg.energy) == (5.0, 30.0)
-
-    def test_euler_matches_exact_here(self):
-        # Constant drift: first-order stepping telescopes to the closed form.
-        base = dict(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=4.0, dt=0.5)
-        exact = simulate(SimulationConfig(**base, integrator="exact"))
-        euler = simulate(SimulationConfig(**base, integrator="symplectic_euler"))
-        assert len(exact) == len(euler)
-        for (te, pe), (ty, py) in zip(exact, euler):
-            assert te == ty
-            assert abs(pe - py) <= 1e-9
-
-    def test_zero_horizon(self):
-        cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=0.0, dt=0.5)
-        assert simulate(cfg) == [(0.0, 1.0)]
-
-    def test_fractional_horizon_appends_exact_final_sample(self):
-        cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1.0, dt=0.3)
-        samples = simulate(cfg)
-        # floor(1.0/0.3) = 3 grid points after zero, plus the appended final.
-        assert len(samples) == 5
-        assert samples[-1][0] == 1.0
-        assert samples[-1][1] == pytest.approx(7.0, abs=1e-12)
-        euler = simulate(SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1.0,
-                                          dt=0.3, integrator="symplectic_euler"))
-        assert euler[-1][0] == 1.0
-        assert euler[-1][1] == pytest.approx(7.0, abs=1e-12)
-
-    def test_momentum_linear_in_time(self):
-        cfg = SimulationConfig(m=5.0, g=9.81, p0=-2.0, q0=1.0, t_max=10.0, dt=0.25)
-        for t, p in simulate(cfg):
-            assert p - cfg.p0 == pytest.approx(cfg.m * cfg.g * t, abs=1e-12, rel=1e-12)
-
+class TestTrajectory:
     @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
     def test_is_the_list_of_sample_rows(self, integrator):
         cfg = SimulationConfig(m=1.7, g=-9.81, p0=-3.25, q0=0.5, t_max=3.42, dt=0.3,
                                integrator=integrator)
         assert repr(simulate(cfg)) == repr(list(sample_rows(cfg)))
 
-
-class TestTrajectory:
     def test_exact_rows_are_lazy(self):
         # 1e12 samples: only the rows taken are ever computed.
         cfg = SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=1e3, dt=1e-9)

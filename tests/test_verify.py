@@ -1,4 +1,4 @@
-"""Verification engine: determinism, report semantics, and mutation killing."""
+"""Verification engine: report semantics and mutation killing."""
 
 import ast
 import contextlib
@@ -24,11 +24,6 @@ class TestReport:
         names = [p.name for p in verify.PROPERTIES]
         assert len(names) == len(set(names))
 
-    def test_deterministic_given_seed(self):
-        first = verify.run_verify(seed=7, cases=40)
-        second = verify.run_verify(seed=7, cases=40)
-        assert first == second
-
     def test_lines_format(self, capsys):
         results = verify.run_verify(seed=1, cases=5)
         assert cli.main(["verify", "--seed", "1", "--cases", "5"]) == 0
@@ -38,12 +33,6 @@ class TestReport:
             status = "PASS" if result.passed else "FAIL"
             assert line == f"{status} {result.name} max_violation={result.max_violation!r}"
         assert lines[-1] == f"{len(results)} properties, 0 failed (seed=1, cases=5)"
-
-    def test_exact_properties_report_zero(self):
-        report = verify.run_verify(seed=3, cases=100)
-        for result in report:
-            if result.tolerance == 0.0:
-                assert result.max_violation == 0.0
 
     def test_rejects_zero_cases(self):
         with pytest.raises(ValueError):
