@@ -17,9 +17,9 @@ Tolerance classes, one per property, fixed by its ``PROPERTIES`` entry:
 
 * 0.0        identities that hold bitwise in IEEE doubles (copied fields,
              symmetric negations, no-op arithmetic);
-* 1e-12      identities exact in exact arithmetic whose floating-point
-             evaluation regroups terms (measured headroom is ~1e-13 on the
-             sampled ranges);
+* 1e-12      identities exact in exact arithmetic whose float evaluation
+             regroups terms; rounding alone FAILs bracket_bilinearity at seed
+             807443437 x 3000 (1.0231815394945443e-12, tests/test_verify_corpus.py);
 * 1e-9       the documented tolerance for composite numerical identities;
 * 1e-5       finite-difference checks at step 1e-6.
 

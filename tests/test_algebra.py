@@ -4,10 +4,10 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
 import pytest
 
 from aristotle.algebra import (
@@ -30,19 +30,32 @@ P = AlgebraElement(1.0, 0.0, 0.0)
 E = AlgebraElement(0.0, 1.0, 0.0)
 
 
+class Real(float):
+    """Another real: BracketTable stores its entries as plain floats."""
+
+
+class Text(str):
+    """Text of a str subclass: refused as an entry, as a str is."""
+
+
+def zeros(planes, rows, cols):
+    """A planes x rows x cols table of 0.0, as nested lists."""
+    return [[[0.0] * cols for _ in range(rows)] for _ in range(planes)]
+
+
 def corrupted_table(g):
     """[P, E] = g*M plus an extra [P, M] = P; antisymmetric but not Jacobi."""
-    constants = np.zeros((3, 3, 3))
-    constants[P_INDEX, E_INDEX, M_INDEX] = g
-    constants[E_INDEX, P_INDEX, M_INDEX] = -g
-    constants[P_INDEX, M_INDEX, P_INDEX] = 1.0
-    constants[M_INDEX, P_INDEX, P_INDEX] = -1.0
+    constants = zeros(3, 3, 3)
+    constants[P_INDEX][E_INDEX][M_INDEX] = g
+    constants[E_INDEX][P_INDEX][M_INDEX] = -g
+    constants[P_INDEX][M_INDEX][P_INDEX] = 1.0
+    constants[M_INDEX][P_INDEX][P_INDEX] = -1.0
     return BracketTable(constants)
 
 
 class TestBracket:
     def test_rejects_wrong_dimension(self):
-        table = BracketTable(np.zeros((2, 2, 2)))
+        table = BracketTable(zeros(2, 2, 2))
         with pytest.raises(ValueError):
             bracket(table, P, E)
 
@@ -69,7 +82,7 @@ class TestTable:
             table.constants = ()
         with pytest.raises(AttributeError, match="^cannot delete field 'constants'$"):
             del table.constants
-        same = BracketTable(np.array(table.constants))
+        same = BracketTable([[list(map(Real, row)) for row in plane] for plane in table.constants])
         assert table == same and hash(table) == hash(same)
         assert table != table.constants and table != aristotle_bracket_table(3.0)
         assert repr(table).startswith("BracketTable(constants=((")
@@ -78,37 +91,38 @@ class TestTable:
 
     def test_rejects_non_cubic(self):
         with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
-            BracketTable(np.zeros((3, 3, 2)))
+            BracketTable(zeros(3, 3, 2))
 
     def test_rejects_a_plane_of_the_wrong_length(self):
         with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
-            BracketTable(np.zeros((3, 2, 3)))
+            BracketTable(zeros(3, 2, 3))
 
     def test_rejects_non_finite(self):
-        constants = np.zeros((3, 3, 3))
-        constants[0, 1, 2] = np.inf
-        with pytest.raises(ValueError):
+        constants = zeros(3, 3, 3)
+        constants[0][1][2] = math.inf
+        with pytest.raises(ValueError, match="^non-finite structure constant$"):
             BracketTable(constants)
 
     def test_nested_list_and_array_agree(self):
-        constants = np.zeros((3, 3, 3))
-        constants[P_INDEX, E_INDEX, M_INDEX] = 2.5
-        constants[E_INDEX, P_INDEX, M_INDEX] = -2.5
-        from_list = BracketTable(constants.tolist())
-        from_array = BracketTable(constants)
+        # The "array" holds Real entries, as an array holds its own float type.
+        constants = zeros(3, 3, 3)
+        constants[P_INDEX][E_INDEX][M_INDEX] = 2.5
+        constants[E_INDEX][P_INDEX][M_INDEX] = -2.5
+        from_list = BracketTable(constants)
+        from_array = BracketTable([[list(map(Real, row)) for row in plane] for plane in constants])
         assert from_list.constants == from_array.constants
         assert from_list.constants == aristotle_bracket_table(2.5).constants
         assert all(type(x) is float for plane in from_array.constants for row in plane for x in row)
 
     def test_rejects_ragged(self):
-        constants = np.zeros((3, 3, 3)).tolist()
+        constants = zeros(3, 3, 3)
         constants[1][2] = [0.0, 0.0]
         with pytest.raises(ValueError):
             BracketTable(constants)
 
     @pytest.mark.parametrize("entry", ["P", None, "0", "1.5", b"0", bytearray(b"0"), memoryview(b"0")])
     def test_rejects_non_numeric_entry(self, entry):
-        constants = np.zeros((3, 3, 3)).tolist()
+        constants = zeros(3, 3, 3)
         constants[0][1][2] = entry
         with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
             BracketTable(constants)
@@ -117,19 +131,20 @@ class TestTable:
         [["000", "000", "000"]] * 3,  # string rows, each iterated into three '0'
         ["000"] * 3,  # string planes
         "000",  # a string table
-        np.zeros((3, 3, 3)).astype(str),  # numpy strings
+        [[[Text("0")] * 3] * 3] * 3,  # entries of a str subclass
         [[b"000"] * 3] * 3,  # bytes rows, each iterated into three 48s
         [[bytearray(3)] * 3] * 3,
         [[memoryview(b"000")] * 3] * 3,
-    ], ids=["string_rows", "string_planes", "string_table", "numpy_strings",
+    ], ids=["string_rows", "string_planes", "string_table", "str_subclass_entries",
             "bytes_rows", "bytearray_rows", "memoryview_rows"])
     def test_rejects_text_that_parses_as_numbers(self, constants):
         with pytest.raises(ValueError, match=r"^structure constants must form an \(n, n, n\) array"):
             BracketTable(constants)
 
-    @pytest.mark.parametrize("entry", [np.float32(0.25), np.int64(2), np.bool_(True), Fraction(1, 3), 2])
+    # Decimals are converted to float; Fractions and ints are kept as given.
+    @pytest.mark.parametrize("entry", [Decimal("0.25"), Fraction(2), Decimal("-1.5"), Fraction(1, 3), 2])
     def test_numbers_other_than_floats_are_kept_or_converted(self, entry):
-        constants = np.zeros((3, 3, 3)).tolist()
+        constants = zeros(3, 3, 3)
         constants[0][1][2] = entry
         stored = BracketTable(constants).constants[0][1][2]
         assert stored == entry
@@ -137,48 +152,58 @@ class TestTable:
 
 
 class TestJacobi:
-    @pytest.mark.parametrize("g", [1.0, -1.0, 2.0, -2.0, 9.81])
+    # The canonical entries are 0.0 and +-g, so each defect component is a sum
+    # of products of two entries: a polynomial in g of degree at most 2.  The
+    # float zeros make the sums floats, but at a dyadic Fraction g every term
+    # is exact, so three exact zeros prove the table is Lie for every g.
+    @pytest.mark.parametrize("g", [1.0, -1.0, 2.0, -2.0, 9.81,
+                                   Fraction(1, 2), Fraction(-3), Fraction(5, 4)])
     def test_canonical_table_is_lie(self, g):
-        assert jacobi_violation(aristotle_bracket_table(g)) == 0.0
+        assert jacobi_violation(aristotle_bracket_table(g)) == 0
 
     def test_zero_table(self):
-        assert jacobi_violation(BracketTable(np.zeros((3, 3, 3)))) == 0.0
+        assert jacobi_violation(BracketTable(zeros(3, 3, 3))) == 0.0
 
     def test_corrupted_table_scores_g(self):
         # Cyclic sum on (P, E, M) is -g*M, so the worst defect is |g| = 2.
-        assert abs(jacobi_violation(corrupted_table(2.0)) - 2.0) <= 1e-12
+        assert jacobi_violation(corrupted_table(2.0)) == 2.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_matrix_reference(self, n):
-        # Reference: [[e_i, e_j], e_k] as the matrix product c[i, j, :] @ c[:, k, :].
+        # The defect on (e_i, e_j, e_k) is minus column k of
+        # ad_i ad_j - ad_j ad_i - ad_[e_i, e_j], where ad_i[m][k] = c[i][k][m]
+        # and ad_[e_i, e_j] = sum_l c[i][j][l] ad_l.  Fraction entries (and int
+        # zeros) keep both sides exact, so they agree to the last digit.
         rng = random.Random(n)
+        r = range(n)
         for _ in range(50):
-            c = np.zeros((n, n, n))
-            for i in range(n):
+            c = [[[0] * n for _ in r] for _ in r]
+            for i in r:
                 for j in range(i + 1, n):
-                    c[i, j] = [rng.uniform(-10, 10) for _ in range(n)]
-                    c[j, i] = -c[i, j]
+                    c[i][j] = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in r]
+                    c[j][i] = [-x for x in c[i][j]]
+            ad = [[[c[i][k][m] for k in r] for m in r] for i in r]
             expected = max(
-                float(np.max(np.abs(c[i, j] @ c[:, k] + c[j, k] @ c[:, i] + c[k, i] @ c[:, j])))
-                for i in range(n) for j in range(n) for k in range(n)
+                abs(sum(ad[i][m][l] * ad[j][l][k] - ad[j][m][l] * ad[i][l][k]
+                        - c[i][j][l] * ad[l][m][k] for l in r))
+                for i in r for j in r for m in r for k in r
             )
-            # Summation may round differently (numpy can fuse multiply-adds);
-            # with entries below 10 in magnitude the terms sum below 1e4.
-            assert abs(jacobi_violation(BracketTable(c)) - expected) <= 1e-11
+            assert jacobi_violation(BracketTable(c)) == expected
 
     def test_overflowed_defect_is_nan(self):
         # The exact defect on (P, E, M) is 1e400 + 2e200 - 1e400 = 2e200, but
         # the outer terms overflow to inf and -inf, and their sum is NaN: a
         # max() fold drops it and scores the table 0.
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 0] = c[0, 2, 0] = -1e200
-        c[1, 2, 2] = 2.0
-        c[1, 0], c[2, 0], c[2, 1] = -c[0, 1], -c[0, 2], -c[1, 2]
+        c = zeros(3, 3, 3)
+        c[0][1][0] = c[0][2][0] = -1e200
+        c[1][2][2] = 2.0
+        for i, j in (0, 1), (0, 2), (1, 2):
+            c[j][i] = [-x for x in c[i][j]]
         assert math.isnan(jacobi_violation(BracketTable(c)))
 
     def test_antisymmetry_breach_is_distinct_error(self):
-        constants = np.zeros((3, 3, 3))
-        constants[0, 1, 2] = 1.0  # missing the mirrored entry
+        constants = zeros(3, 3, 3)
+        constants[0][1][2] = 1.0  # missing the mirrored entry
         with pytest.raises(AntisymmetryError):
             jacobi_violation(BracketTable(constants))
 

@@ -21,6 +21,8 @@ def test_pyproject_declares_no_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+    # The suite needs only pytest and Hypothesis: its tables are nested lists.
+    assert project["optional-dependencies"]["test"] == ["pytest", "hypothesis"]
 
 
 # subcommand -> the IMPORT_BUDGETS row whose one measured run this test reads
