@@ -109,9 +109,10 @@ def _row(row) -> tuple:
 
 def aristotle_bracket_table(g: float) -> BracketTable:
     """The canonical 3-dimensional table: [P, E] = g*M, everything else zero."""
-    z = (0.0, 0.0, 0.0)
+    o = g - g  # 0.0, or an exact zero for an exact g
+    z = (o, o, o)
     # c[P][E][M] = g and c[E][P][M] = -g, in the basis order (P, E, M).
-    return BracketTable(((z, (0.0, 0.0, g), z), ((0.0, 0.0, -g), z, z), (z, z, z)))
+    return BracketTable(((z, (o, o, g), z), ((o, o, -g), z, z), (z, z, z)))
 
 
 def bracket(table: BracketTable, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -29,7 +29,8 @@ class Record:
 
 def finite(value, what: str):
     """value if finite, else ValueError(f"non-finite {what}"); OverflowError for an exact value past doubles.
-    Value classes check fields inline: a call adds ~400 ns per record, and verify builds 100,000s a run."""
+    Value classes check fields inline: verify builds 100,000s of records a run, and a call per field adds
+    130-330 ns a record on CPython 3.10 and 30-100 ns on 3.11 and 3.13 (timeit, best of 7)."""
     if not math.isfinite(value):
         raise ValueError(f"non-finite {what}")
     return value

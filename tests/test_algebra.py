@@ -152,12 +152,12 @@ class TestTable:
 
 
 class TestJacobi:
-    # The canonical entries are 0.0 and +-g, so each defect component is a sum
-    # of products of two entries: a polynomial in g of degree at most 2.  The
-    # float zeros make the sums floats, but at a dyadic Fraction g every term
-    # is exact, so three exact zeros prove the table is Lie for every g.
+    # The canonical entries are zeros and +-g, so each defect component is a
+    # sum of products of two entries: a polynomial in g of degree at most 2.
+    # At a Fraction g the zeros are exact too, so every term is exact, and
+    # three exact zeros prove the table is Lie for every g.
     @pytest.mark.parametrize("g", [1.0, -1.0, 2.0, -2.0, 9.81,
-                                   Fraction(1, 2), Fraction(-3), Fraction(5, 4)])
+                                   Fraction(1, 2), Fraction(-3), Fraction(5, 4), Fraction(1, 3)])
     def test_canonical_table_is_lie(self, g):
         assert jacobi_violation(aristotle_bracket_table(g)) == 0
 

@@ -21,8 +21,6 @@ G = F(981, 100)
 
 # name -> the paths of a result that hold a literal float constant
 LITERALS = {
-    "aristotle_bracket_table": {("constants", i, j, k) for i in range(3) for j in range(3)
-                                for k in range(3) if (i, j, k) not in ((0, 1, 2), (1, 0, 2))},
     # The canonical table's defect is the initial 0.0; another table's is exact.
     "jacobi_violation": {()},
     "poisson_bracket": {("a_p",), ("a_q",)},
