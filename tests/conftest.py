@@ -4,7 +4,6 @@ host, and one that runs code once in a bare interpreter with the modules it
 imports measured; tests that run code there as it is call `run_bare`."""
 
 import ast
-import functools
 import os
 import subprocess
 import sys
@@ -45,7 +44,6 @@ def run_bare(code, *argv, text=True, **kwargs):
                           text=text, **kwargs)
 
 
-@functools.cache
 def _measured(code):
     with tempfile.TemporaryDirectory() as cwd:
         proc = run_bare(
@@ -69,5 +67,5 @@ def measured_python():
     where `import numpy` raises ImportError; the code must exit 0.  Returns
     its stdout, the top-level modules it loaded from outside the standard
     library, and every module it loaded or tried to import, which catches a
-    guarded `import numpy` too.  Each code runs once a session."""
+    guarded `import numpy` too."""
     return _measured

@@ -235,11 +235,6 @@ class TestSimulate:
 
 
 class TestOrbit:
-    def test_worked_point(self, capsys):
-        code, out, _ = run_main(["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"], capsys)
-        assert code == 0
-        assert out == "p=31 q=3\n"
-
     def test_zero_energy(self, capsys):
         code, out, _ = run_main(["orbit", "--m", "5", "--g", "2", "--e", "0", "--p", "31"], capsys)
         assert code == 0
@@ -374,12 +369,6 @@ def test_integrator_choices_are_the_dynamics_integrators(capsys):
 
 
 class TestAct:
-    def test_worked_point(self, capsys):
-        argv = ["act", "--mass", "5", "--g", "2", "--t", "3", "--h", "4", "--p", "1", "--q", "2"]
-        code, out, _ = run_main(argv, capsys)
-        assert code == 0
-        assert out == "p=31 q=6\n"
-
     def test_identity_echoes_input(self, capsys):
         argv = ["act", "--mass", "5", "--g", "2", "--t", "0", "--h", "0", "--p", "1", "--q", "2"]
         code, out, _ = run_main(argv, capsys)
@@ -558,29 +547,6 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
 
-    # The next six read the one measured run of IMPORT_BUDGETS rows.
-    def test_import_does_not_load_numpy(self, budget):
-        assert "numpy" not in budget("import-cli")[2]
-
-    def test_import_does_not_load_the_suite_or_dataclasses(self, budget):
-        assert not {"aristotle.verify", "aristotle.dynamics", "aristotle.algebra", "aristotle.write",
-                    "dataclasses", "inspect", "typing", "__future__"} & budget("import-cli")[2]
-
-    def test_import_does_not_load_process_pools(self, budget):
-        assert not {"multiprocessing", "concurrent.futures"} & budget("import-cli")[2]
-
-    def test_orbit_and_act_load_neither_dynamics_nor_algebra(self, budget):
-        for row in ("point-queries", "orbit-through-argparse"):
-            assert not {"aristotle.algebra", "aristotle.dynamics"} & budget(row)[2]
-
-    def test_point_queries_load_no_argparse(self, budget):
-        out, _, seen = budget("point-queries")
-        assert (out, {"argparse", "gettext", "locale"} & seen) == ("p=31 q=3\np=31 q=6\n", set())
-
-    def test_runs_without_numpy(self, budget):
-        assert budget("orbit-through-argparse")[0] == "p=31 q=3\n"
-        assert budget("verify")[0].endswith(" 0 failed (seed=42, cases=2)\n")
-
     def test_verify_is_loaded_as_the_attribute_cli_verify(self):
         code = ("import sys, aristotle.cli as cli\n"
                 "assert 'aristotle.verify' not in sys.modules\n"
@@ -640,21 +606,13 @@ IMPORT_BUDGETS = {
 }
 
 
-@pytest.fixture
-def budget(measured_python):
-    """The one measured run of an IMPORT_BUDGETS row: its stdout, the modules
-    it loaded from outside the standard library, and every module it loaded
-    or tried to import."""
-    return lambda row: measured_python(IMPORT_BUDGETS[row][0])
-
-
-@pytest.mark.parametrize("row", IMPORT_BUDGETS)
-def test_import_budget(row, budget):
+@pytest.mark.parametrize("code, stdout, forbidden", IMPORT_BUDGETS.values(),
+                         ids=list(IMPORT_BUDGETS))
+def test_import_budget(code, stdout, forbidden, measured_python):
     """Each entry point, run where `import numpy` raises ImportError, writes
     its answer, loads only the standard library, and tries to import neither
     numpy (as a guarded import would) nor a module its row forbids."""
-    _, stdout, forbidden = IMPORT_BUDGETS[row]
-    out, outside, seen = budget(row)
+    out, outside, seen = measured_python(code)
     assert re.fullmatch(stdout, out), out
     assert (outside, seen & {"numpy", *forbidden.split()}) == (set(), set())
 

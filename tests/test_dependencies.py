@@ -1,13 +1,8 @@
-"""The package runs on the standard library alone: it declares no runtime
-dependency, and no subcommand loads a module from outside the standard
-library."""
+"""The package declares no runtime dependency.  That no entry point loads a
+module from outside the standard library is `IMPORT_BUDGETS` in
+`test_cli.py`: every row fails on one."""
 
-import re
 from pathlib import Path
-
-import pytest
-
-from test_cli import IMPORT_BUDGETS
 
 try:
     import tomllib
@@ -23,16 +18,3 @@ def test_pyproject_declares_no_runtime_dependency():
     assert project["dependencies"] == []
     # The suite needs only pytest and Hypothesis: its tables are nested lists.
     assert project["optional-dependencies"]["test"] == ["pytest", "hypothesis"]
-
-
-# subcommand -> the IMPORT_BUDGETS row whose one measured run this test reads
-SUBCOMMAND_ROWS = {"orbit": "orbit-through-argparse", "act": "point-queries",
-                   "simulate": "simulate-out", "verify": "verify"}
-
-
-@pytest.mark.parametrize("row", SUBCOMMAND_ROWS.values(), ids=SUBCOMMAND_ROWS)
-def test_each_subcommand_loads_only_the_standard_library(row, measured_python):
-    code, stdout, _ = IMPORT_BUDGETS[row]
-    out, outside, _ = measured_python(code)
-    assert outside == set()
-    assert re.fullmatch(stdout, out), out  # the command wrote its answer

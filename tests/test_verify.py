@@ -34,10 +34,6 @@ class TestReport:
             assert line == f"{status} {result.name} max_violation={result.max_violation!r}"
         assert lines[-1] == f"{len(results)} properties, 0 failed (seed=1, cases=5)"
 
-    def test_rejects_zero_cases(self):
-        with pytest.raises(ValueError):
-            verify.run_verify(seed=1, cases=0)
-
     def test_memory_stays_flat_as_cases_grow(self, monkeypatch):
         # Folding a list of 1e5 cases peaks near 3 MB; the generator, near 3 KB.
         prop = verify.Property("p", 1.0, lambda rng: rng.random())
@@ -50,6 +46,36 @@ class TestReport:
             tracemalloc.stop()
         assert result.passed and 0.99 < result.max_violation < 1.0
         assert peak < 64 * 1024
+
+
+# Each of verify's tolerance classes, by its bound, with the properties
+# registered in it.  A property may move to a tighter class, never to a looser
+# one; the bounds are written out, so loosening a whole class fails too.
+TOLERANCES = {
+    0.0: (  # EXACT
+        "bracket_antisymmetry jacobi_identity algebra_vector_space_laws"
+        " pairing_dimension_consistency base_group_abelian extended_identity"
+        " central_coordinate_commutes coadjoint_m_invariance coadjoint_zero_mass_fixed_point"
+        " poisson_antisymmetry poisson_jacobi hamiltonian_field_convention static_position"
+        " energy_conservation_exact hamiltons_equations hamiltonian_p_independence"
+        " hamiltonian_is_time_momentum"),
+    1e-12: (  # FP_TOL
+        "bracket_bilinearity spacetime_action_law extended_inverse canonical_round_trip"
+        " coadjoint_action_law pairing_linearity chart_round_trip canonical_action_jacobian"
+        " momentum_linear_exact flow_composition momentum_map_realizes_pairing"),
+    1e-9: (  # NUMERICAL_TOL
+        "extended_associativity cocycle_identity cocycle_coboundary canonical_product_law"
+        " coadjoint_equivariance adjoint_closed_form_matches_conjugation chart_equivariance"
+        " momentum_map_antihomomorphism energy_conservation_euler momentum_linear_euler"),
+    1e-5: "generator_finite_difference",  # FINITE_DIFF_TOL
+}
+
+
+def test_no_property_is_looser_than_its_pinned_tolerance_class():
+    assert sorted(" ".join(TOLERANCES.values()).split()) == sorted(
+        p.name for p in verify.PROPERTIES)
+    pinned = {name: bound for bound, names in TOLERANCES.items() for name in names.split()}
+    assert [p.name for p in verify.PROPERTIES if p.tolerance > pinned[p.name]] == []
 
 
 def _own_nodes(function):
@@ -258,44 +284,14 @@ def test_verify_fails_exactly_the_properties_that_see_a_mutant(row):
     assert_exits_one(row)
 
 
-class MutantRowChecks:
-    """A row's two checks under the names they had before the table; both
-    read the row's one run."""
-
-    def test_mutation_is_killed(self):
-        assert_fails_exactly(self.ROW)
-
-    def test_cli_exits_one(self):
-        assert_exits_one(self.ROW)
-
-
-class TestCocycleMutation(MutantRowChecks):
-    """Dropping the cocycle term from the extended product."""
-
-    ROW = "cocycle_dropped"
-
-
-class TestDirectProductMutation(MutantRowChecks):
-    """The untwisted direct product, its inverse too."""
-
-    ROW = "direct_product"
-
-
-class TestNaNViolationMutation(MutantRowChecks):
-    """A property whose case returns NaN must FAIL, not read as 0.
-
-    max(0.0, nan) is 0.0, so a runner that folds violations with max alone
-    would pass it, as the table's NaN cocycle row shows through the CLI.
-    """
-
-    ROW = "cocycle_nan"
-
-    def test_nan_stays_the_worst_case(self, monkeypatch):
-        violations = iter([0.5, math.nan, 2.0])
-        prop = verify.Property("p", 1.0, lambda rng: next(violations))
-        monkeypatch.setattr(verify, "PROPERTIES", (prop,))
-        (result,) = verify.run_verify(seed=1, cases=3)
-        assert math.isnan(result.max_violation) and not result.passed
+def test_nan_stays_the_worst_case(monkeypatch):
+    """A case's NaN is its property's worst: max(0.0, nan) is 0.0, so a runner
+    that folded with max alone would pass it."""
+    violations = iter([0.5, math.nan, 2.0])
+    prop = verify.Property("p", 1.0, lambda rng: next(violations))
+    monkeypatch.setattr(verify, "PROPERTIES", (prop,))
+    (result,) = verify.run_verify(seed=1, cases=3)
+    assert math.isnan(result.max_violation) and not result.passed
 
 
 MUTATIONS = {"negated": lambda x: -x, "doubled": lambda x: 2 * x, "plus_one": lambda x: x + 1}
