@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Numeric output uses the shortest round-trip representation so downstream
 tools can re-check identities bit for bit.
 
-Importing this module loads ``group`` and ``orbit`` only; ``simulate`` loads
-``dynamics`` and ``write`` when it runs, and ``verify`` the suite.  Only
+Importing this module loads only ``group``, ``orbit`` and ``record``; ``simulate``
+loads ``dynamics`` and ``write`` when it runs, and ``verify`` the suite.  Only
 command lines other than a well-formed ``orbit``/``act`` call load argparse.
 """
 

@@ -5,8 +5,12 @@ the mutation gate of verify.
 A new public function joins all three by one row in BUILDERS.  A builder
 takes x, which draws one number (an extreme double, or a small Fraction), and
 the random.Random that makes every other choice.
+
+Several test modules also share its bracket table that is not a Lie algebra,
+and its walk of a syntax tree that names each node's scope.
 """
 
+import ast
 import inspect
 from fractions import Fraction
 from numbers import Number
@@ -163,6 +167,27 @@ def results(name, x, rng, calls):
         returned += 1
         yield args, found
     assert 4 * returned >= calls, f"{name} returned {returned} of {calls} calls"
+
+
+def corrupted_table(g):
+    """Antisymmetric, with Jacobi defect g.  Its zeros are g - g and its ones
+    g / g, so a float g gives a float table and a Fraction an exact one."""
+    zero, one = g - g, g / g
+    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = g, -g  # [P, E] = g*M
+    c[0][2][0], c[2][0][0] = one, -one  # an extra [P, M] = P
+    return algebra.BracketTable(c)
+
+
+def scoped_nodes(tree):
+    """(names of the enclosing classes and functions, node) for every node of tree."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
 
 
 def leaves(value, path=()):

@@ -1,10 +1,14 @@
 """Fixtures that set how many CPUs `aristotle simulate` sees, so both of its
 writing paths (rows formatted in process, or by forked workers) run on any
 host, and one that runs code once in a bare interpreter with the modules it
-imports measured; tests that run code there as it is call `run_bare`."""
+imports measured; tests that run code there as it is call `run_bare`.  A call
+that must return at once runs under `deadline`, and a test that forks
+workers ends with `assert_reaped`."""
 
 import ast
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -12,6 +16,34 @@ import tempfile
 import pytest
 
 import aristotle
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+# Doubles at the edges of the value classes, for grids of extreme inputs.
+GRID_VALUES = (0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-10, 0.5,
+               1.0, -1.0, 3.0, 1e10, 1e154, 1e160, 1e290, 1e300, 8e307,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@contextlib.contextmanager
+def deadline(seconds, error=TimeoutError):
+    """Raise error in this process, from a SIGALRM timer, once the block has
+    run for seconds; the timer is disarmed and the handler restored on exit."""
+    def expire(signum, frame):
+        raise error
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def assert_reaped():
+    """Every child process of this one has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -61,7 +93,7 @@ def _measured(code):
     return proc.stdout, set(outside), set(seen)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def measured_python():
     """Run code once in a bare interpreter, in an empty working directory,
     where `import numpy` raises ImportError; the code must exit 0.  Returns

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import chain
 from aristotle import cli, verify
 from aristotle.algebra import (
     AlgebraElement,
@@ -39,7 +40,6 @@ from aristotle.orbit import (
     hamiltonian_vector_field,
     poisson_bracket,
 )
-from test_algebra import corrupted_table
 from test_verify import assert_exits_one, assert_fails_exactly
 
 GRAVITIES = (1.0, -1.0, 2.0, -2.0, 9.81)
@@ -81,7 +81,7 @@ def test_criterion_03_lie_algebra_suite():
     for g in GRAVITIES:
         assert jacobi_violation(aristotle_bracket_table(g)) == 0.0
     # [P, E] = 2*M plus an extra [P, M] = P: the cyclic sum on (P, E, M) is -2*M.
-    assert jacobi_violation(corrupted_table(2.0)) == 2.0
+    assert jacobi_violation(chain.corrupted_table(2.0)) == 2.0
     _report("criterion-03 Lie-algebra suite (Jacobi exactly 0; corrupted table -> 2)")
 
 

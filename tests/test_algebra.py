@@ -43,16 +43,6 @@ def zeros(planes, rows, cols):
     return [[[0.0] * cols for _ in range(rows)] for _ in range(planes)]
 
 
-def corrupted_table(g):
-    """[P, E] = g*M plus an extra [P, M] = P; antisymmetric but not Jacobi."""
-    constants = zeros(3, 3, 3)
-    constants[P_INDEX][E_INDEX][M_INDEX] = g
-    constants[E_INDEX][P_INDEX][M_INDEX] = -g
-    constants[P_INDEX][M_INDEX][P_INDEX] = 1.0
-    constants[M_INDEX][P_INDEX][P_INDEX] = -1.0
-    return BracketTable(constants)
-
-
 class TestBracket:
     def test_rejects_wrong_dimension(self):
         table = BracketTable(zeros(2, 2, 2))

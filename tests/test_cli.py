@@ -21,8 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle import cli, dynamics, write
-from conftest import run_bare
-from test_dynamics import GRID_VALUES
+from conftest import GRID_VALUES, PERFBENCH, assert_reaped, deadline, run_bare
 
 SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"]
 # 1e5 rows: 25 chunks, and more than a pipe buffer holds.
@@ -32,7 +31,6 @@ ENDLESS_SIM_FLAGS = ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt"
                      "--t-max", "100"]
 ENOSPC = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def run_main(argv, capsys):
@@ -120,8 +118,7 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {str(target)!r}: {ENOSPC}\n"
         assert not target.exists()  # cut at a chunk boundary, it would read as a whole run
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped()
 
     @staticmethod
     def fail_second_chunk(monkeypatch, failure):
@@ -154,8 +151,7 @@ class TestSimulate:
                        if failure == "signal" else
                        "error: a worker process exited unexpectedly with status 255\n")
         assert not target.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped()
 
     def test_failed_run_keeps_a_fifo(self, tmp_path, capsys, monkeypatch, use_cpus):
         # Only a regular file is deleted: a FIFO, like a device, is not the run's.
@@ -177,8 +173,7 @@ class TestSimulate:
         assert err.startswith("error: a worker process was killed by signal")
         assert drained.read_bytes().startswith(b"t,p,q,H\n")
         assert stat.S_ISFIFO(fifo.stat().st_mode)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped()
 
     @pytest.mark.parametrize("failing_call", [1, 2])
     def test_failed_fork_formats_in_process(self, tmp_path, capsys, monkeypatch, use_cpus,
@@ -202,8 +197,7 @@ class TestSimulate:
         assert run_main(argv, capsys) == (0, "", "")
         assert len(calls) == failing_call
         assert target.read_bytes() == expected
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped()
 
     def test_failed_run_through_a_link_removes_the_file(self, tmp_path, capsys, monkeypatch,
                                                         use_cpus):
@@ -217,8 +211,7 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: a worker process was killed by signal")
         assert link.is_symlink() and not target.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped()
 
     @needs_dev_full
     def test_full_device_error_is_the_same_on_every_path(self, capsys, use_cpus):
@@ -292,9 +285,10 @@ def test_handlers_raise_refused_input(command, capsys):
 @pytest.mark.parametrize("refused", ["orbit-zero-mass", "act-overflowing-chart",
                                      "verify-zero-cases", "simulate-missing-directory"])
 def test_refused_command_line_through_the_module_entry(refused):
+    # Orbit and verify run through `python -m aristotle`, act and simulate through `aristotle.cli`.
     argv, message = REFUSED[refused]
-    proc = subprocess.run([sys.executable, "-m", "aristotle.cli", *argv],
-                          capture_output=True, text=True)
+    module = "aristotle" if argv[0] in ("orbit", "verify") else "aristotle.cli"
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
@@ -467,14 +461,11 @@ class TestPointQuery:
                 assert args is not None, call.args
                 assert _fields(args) == _fields(cli.build_parser().parse_args(list(call.args)))
 
-    def test_handlers_are_looked_up_when_called(self, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_orbit", lambda args: 7)
-        assert cli.main(["orbit", "--m=5", "--g=2", "--e=-30", "--p=31"]) == 7
 
-
-@pytest.mark.parametrize("argv", [["verify", "--cases", "2"], ["simulate", *SIM_FLAGS]],
-                         ids=["verify", "simulate"])
-def test_argparse_handlers_are_looked_up_when_called(monkeypatch, argv):
+@pytest.mark.parametrize("argv", [["orbit", "--m=5", "--g=2", "--e=-30", "--p=31"],
+                                  ["verify", "--cases", "2"], ["simulate", *SIM_FLAGS]],
+                         ids=["point-query", "verify", "simulate"])
+def test_handlers_are_looked_up_when_called(monkeypatch, argv):
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 7)
     assert cli.main(argv) == 7
 
@@ -547,14 +538,6 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
 
-    def test_verify_is_loaded_as_the_attribute_cli_verify(self):
-        code = ("import sys, aristotle.cli as cli\n"
-                "assert 'aristotle.verify' not in sys.modules\n"
-                "assert cli.verify is sys.modules['aristotle.verify']\n"
-                "assert not hasattr(cli, 'no_such_name')\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
-
     @pytest.mark.parametrize("argv", [
         ["orbit", "--m", "5", "--g", "2", "--e", "-30", "--p", "31"],
         ["orbit", "--help"],
@@ -569,13 +552,29 @@ class TestSubprocess:
         assert (got.returncode, got.stdout, got.stderr) == (
             expected.returncode, expected.stdout, expected.stderr)
 
-    def test_dynamics_is_loaded_as_the_attribute_cli_dynamics(self):
-        code = ("import sys, aristotle.cli as cli\n"
-                "assert 'aristotle.dynamics' not in sys.modules\n"
-                "assert cli.dynamics is sys.modules['aristotle.dynamics']\n"
-                "assert not hasattr(cli, 'no_such_name')\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, "")
+    @pytest.fixture(scope="class")
+    def cli_attributes(self, measured_python):
+        """One bare interpreter reads cli.dynamics, then cli.verify, then a
+        missing name: name -> (loaded before the read, the read is the loaded
+        module), and whether it loaded anything outside the standard library
+        or tried numpy."""
+        out, outside, seen = measured_python(
+            "import aristotle.cli as cli\n"
+            "for name in ('dynamics', 'verify'):\n"
+            "    before = f'aristotle.{name}' in sys.modules\n"
+            "    print(name, before, getattr(cli, name) is sys.modules[f'aristotle.{name}'])\n"
+            "print('no_such_name', hasattr(cli, 'no_such_name'))")
+        seams = dict(line.split(" ", 1) for line in out.splitlines())
+        return seams, (outside, seen & {"numpy"}) == (set(), set())
+
+    def test_dynamics_is_loaded_as_the_attribute_cli_dynamics(self, cli_attributes):
+        seams, stdlib_only = cli_attributes
+        assert (seams["dynamics"], seams["no_such_name"], stdlib_only) == (
+            "False True", "False", True)
+
+    def test_verify_is_loaded_as_the_attribute_cli_verify(self, cli_attributes):
+        # Read after cli.dynamics, so loading dynamics did not load verify.
+        assert cli_attributes[0]["verify"] == "False True"
 
 
 def _calls(*argvs):
@@ -745,29 +744,16 @@ def test_killed_parent_stops_its_workers(cli_command, tmp_path):
             sizes.append(size())
 
 
-@pytest.fixture
-def alarm():
-    """Arm a timer whose SIGALRM raises KeyboardInterrupt in this process, as
-    a Ctrl-C does; the timer and the handler are restored on exit."""
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    handler = signal.signal(signal.SIGALRM, interrupt)
-    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, handler)
-
-
-def test_interrupted_write_stops_its_workers(use_cpus, alarm, tmp_path):
-    # A library caller survives the interrupt, so its workers never see a new parent.
+def test_interrupted_write_stops_its_workers(use_cpus, tmp_path):
+    # A library caller survives the interrupt, here a SIGALRM that raises
+    # KeyboardInterrupt as a Ctrl-C does, so its workers never see a new parent.
     target = tmp_path / "trajectory.csv"
     cfg = dynamics.SimulationConfig(m=2.0, g=3.0, p0=1.0, q0=5.0, t_max=100.0, dt=1e-6)
     use_cpus(2)
-    alarm(0.5)
-    with open(target, "w", encoding="utf-8") as fh, pytest.raises(KeyboardInterrupt):
+    with (open(target, "w", encoding="utf-8") as fh, pytest.raises(KeyboardInterrupt),
+          deadline(0.5, KeyboardInterrupt)):
         write.write_trajectory(fh, cfg, "csv")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_reaped()
     size = target.stat().st_size
     time.sleep(0.5)
     assert target.stat().st_size == size > 0

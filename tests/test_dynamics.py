@@ -2,12 +2,11 @@
 unknown generator.  The exact model (test_model.py) pins the Hamiltonian, the
 exact flow, the generators and the drift."""
 
-import ast
 import math
 import random
 import select
 import subprocess
-import sys
+import time
 from itertools import islice
 
 import pytest
@@ -22,6 +21,7 @@ from aristotle.dynamics import (
     simulate,
 )
 from aristotle.orbit import OrbitContext, OrbitPoint
+from conftest import GRID_VALUES, deadline
 
 
 class TestGenerators:
@@ -60,23 +60,14 @@ class TestTrajectory:
                 for start in range(len(whole) + 1):
                     assert repr(list(sample_rows(cfg, start))) == repr(whole[start:])
 
-    def test_negative_start_is_refused(self):
-        # Not the rows at t = -0.5 and -0.25, which precede the run.
-        cfg = SimulationConfig(m=1.0, g=2.0, p0=0.5, q0=1.0, t_max=1.0, dt=0.25)
-        with pytest.raises(ValueError, match="^start must be nonnegative$"):
+    @pytest.mark.parametrize("integrator", ["exact", "symplectic_euler"])
+    def test_negative_start_is_refused_at_once(self, integrator):
+        # Not the rows at t = -0.5 and -0.25, which precede the run, nor a
+        # count of Euler steps down from -2 that never reaches 0.
+        cfg = SimulationConfig(m=1.0, g=2.0, p0=0.5, q0=1.0, t_max=1.0, dt=0.25,
+                               integrator=integrator)
+        with deadline(10), pytest.raises(ValueError, match="^start must be nonnegative$"):
             list(sample_rows(cfg, -2))
-
-    def test_negative_euler_start_is_refused_at_once(self):
-        # Not a count of steps down from -2 that never reaches 0.
-        code = ("from aristotle.dynamics import SimulationConfig, sample_rows\n"
-                "cfg = SimulationConfig(1.0, 2.0, 0.5, 1.0, 1.0, 0.25, 'symplectic_euler')\n"
-                "try:\n"
-                "    list(sample_rows(cfg, -2))\n"
-                "except ValueError as err:\n"
-                "    print(err)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=10)
-        assert (proc.stdout, proc.stderr) == ("start must be nonnegative\n", "")
 
 
 # Grids of about 3.6e23 and 8.1e29 steps on which floor(t_max/dt)*dt
@@ -95,55 +86,13 @@ def _stepped_time_grid(t_max, dt):
     return n, n * dt < t_max
 
 
-def _cli_head(cli_command, argv):
-    """The first two complete stdout lines of the CLI, its exit code and
-    stderr: the lines must come within 10 s, and the CLI must then end within
-    10 s, after its reader stops as `| head -2` does."""
-    with subprocess.Popen(cli_command(argv, 2), stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        head = b""
-        while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
-               and (chunk := proc.stdout.read1(4096))):
-            head += chunk
-        proc.stdout.close()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-        return head.split(b"\n")[:-1][:2], proc.returncode, proc.stderr.read()
-
-
-def _assert_streams_at_once(cli_command, t_max, dt, integrator, mass=1.0, g=1.0):
-    """The CLI writes the first rows of a run from the origin within 10 s, and
-    ends quietly when its reader stops early, as `| head` does."""
-    argv = ["simulate", "--mass", repr(mass), "--g", repr(g), "--p0", "0", "--q0", "0",
-            "--t-max", repr(t_max), "--dt", repr(dt), "--integrator", integrator]
-    assert _cli_head(cli_command, argv) == ([b"t,p,q,H", b"0,0,0,0"], 0, b"")
-
-
 class TestTimeGrid:
     def test_huge_grids_are_clamped_at_once(self):
-        code = ("from aristotle.dynamics import _time_grid\n"
-                f"print([_time_grid(*grid) for grid, _ in {HUGE_GRIDS!r}])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=10)
-        assert proc.stdout == f"{[expected for _, expected in HUGE_GRIDS]}\n"
+        with deadline(10):
+            clamped = [_time_grid(*grid) for grid, _ in HUGE_GRIDS]
+        assert clamped == [expected for _, expected in HUGE_GRIDS]
         for (t_max, dt), (n, _) in HUGE_GRIDS:
             assert n * dt <= t_max < (n + 1) * dt
-
-    def test_huge_grid_streams_at_once(self, cli_command):
-        (t_max, dt), _ = HUGE_GRIDS[1]
-        _assert_streams_at_once(cli_command, t_max, dt, "exact")
-
-    def test_huge_euler_run_streams_at_once(self, cli_command):
-        # 1e30 Euler steps: none may be summed before the first row is written.
-        _assert_streams_at_once(cli_command, 1e30, 1.0, "symplectic_euler")
-
-    def test_huge_euler_run_of_huge_steps_streams_at_once(self, cli_command):
-        # 1e15 steps of 1e292 end near 1e307: the run check strides over them
-        # binade by binade and never sums them one at a time.
-        _assert_streams_at_once(cli_command, 1e5, 1e-10, "symplectic_euler", 1e151, 1e151)
 
     def test_clamp_matches_stepping_down(self):
         # Up to 2**62 steps; t_max at a grid point, a few ulps below one
@@ -284,21 +233,11 @@ class TestEulerSteps:
         cases = [(-2.0 ** -1023, 5e-324, 2.0 ** -1021), (5e-324, -5e-324, -2.0 ** -1021),
                  (1.0, 1.0, 2.0 ** 53), (-1e10, 3.0, 2.0 ** 55), (-0.0, -0.3, -2.0 ** 52),
                  (0.0, 1e292, math.inf), (-1.7976931348623157e308, 1e292, math.inf)]
-        code = ("import time\nfrom aristotle.dynamics import _euler_steps\n"
-                f"for p, s in {[(p.hex(), s.hex()) for p, s, _ in cases]!r}:\n"
-                "    start = time.perf_counter()\n"
-                "    p = _euler_steps(float.fromhex(p), float.fromhex(s), 10**18)\n"
-                "    print(p.hex(), time.perf_counter() - start)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=10)
-        lines = [line.split() for line in proc.stdout.splitlines()]
-        assert [float.fromhex(p) for p, _ in lines] == [p for _, _, p in cases]
-        assert max(float(seconds) for _, seconds in lines) < 0.1
-
-
-GRID_VALUES = (0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-10, 0.5,
-               1.0, -1.0, 3.0, 1e10, 1e154, 1e160, 1e290, 1e300, 8e307,
-               1.7976931348623157e308, -1.7976931348623157e308)
+        with deadline(10):
+            for p, s, reached in cases:
+                start = time.perf_counter()
+                assert _euler_steps(p, s, 10**18) == reached, (p, s)
+                assert time.perf_counter() - start < 0.1, (p, s)
 
 
 class TestRunCheck:
@@ -307,39 +246,69 @@ class TestRunCheck:
         # decision of at most 2**16 steps is that of the summed run.
         rng = random.Random(10)
         grid = [tuple(rng.choice(GRID_VALUES) for _ in range(6)) for _ in range(4000)]
-        code = ("import ast, sys\nfrom aristotle.dynamics import SimulationConfig\n"
-                "def decide(values, integrator):\n"
-                "    try:\n"
-                "        SimulationConfig(*values, integrator=integrator)\n"
-                "    except ValueError as err:\n"
-                "        return str(err)\n"
-                "grid = ast.literal_eval(sys.stdin.read())\n"
-                "print([[decide(values, integrator) for values in grid]\n"
-                "       for integrator in ('exact', 'symplectic_euler')])\n")
-        proc = subprocess.run([sys.executable, "-c", code], input=repr(grid),
-                              capture_output=True, text=True, timeout=60)
-        exact, euler = ast.literal_eval(proc.stdout)
-        assert len(exact) == len(euler) == len(grid)
+
+        def decide(values, integrator):
+            try:
+                SimulationConfig(*values, integrator=integrator)
+            except ValueError as err:
+                return str(err)
+
+        with deadline(60):
+            decisions = {integrator: [decide(values, integrator) for values in grid]
+                         for integrator in ("exact", "symplectic_euler")}
         compared = []
-        for (m, g, p0, q0, t_max, dt), decision in zip(grid, euler):
+        for (m, g, p0, q0, t_max, dt), decision in zip(grid, decisions["symplectic_euler"]):
             if m and g and 0 < dt and 0 <= t_max and not 0 < t_max < dt and t_max / dt <= 2**16:
                 assert decision == _summed_check(m, g, p0, q0, t_max, dt), (m, g, p0, q0, t_max, dt)
                 compared.append(decision)
         assert compared.count(None) > 50 and compared.count("non-finite chart coordinate") > 10
 
-    @pytest.mark.parametrize("argv, head, code, err", [
-        # 1e30 steps of 1 from 1e308: p never moves.
-        ("--mass 1 --g 1 --p0 1e308 --q0 0 --t-max 1e30 --dt 1",
-         [b"t,p,q,H", b"0,1e+308,0,0"], 0, b""),
-        # 1e16 steps of 1e292 end near 1.1e308, and 2e16 of them overflow.
-        ("--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 1e6 --dt 1e-10",
-         [b"t,p,q,H", b"0,0,0,0"], 0, b""),
-        ("--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 2e6 --dt 1e-10",
-         [], 2, b"error: non-finite chart coordinate\n"),
-        # m*g*dt overflows.
-        ("--mass 1e160 --g 1 --p0 0 --q0 0 --t-max 1e300 --dt 1e154",
-         [], 2, b"error: non-finite chart coordinate\n"),
-    ])
-    def test_huge_euler_runs_are_decided_at_once(self, cli_command, argv, head, code, err):
-        argv = ["simulate", *argv.split(), "--integrator", "symplectic_euler"]
-        assert _cli_head(cli_command, argv) == (head, code, err)
+
+def _cli_head(cli_command, argv):
+    """The first two complete stdout lines of `aristotle simulate`, its exit
+    code and stderr: the lines must come within 10 s, and the CLI must then
+    end within 10 s, after its reader stops as `| head -2` does."""
+    with subprocess.Popen(cli_command(["simulate", *argv.split()], 2), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = b""
+        while (head.count(b"\n") < 2 and select.select([proc.stdout], [], [], 10)[0]
+               and (chunk := proc.stdout.read1(4096))):
+            head += chunk
+        proc.stdout.close()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        return head.split(b"\n")[:-1][:2], proc.returncode, proc.stderr.read()
+
+
+ORIGIN = ([b"t,p,q,H", b"0,0,0,0"], 0, b"")
+REFUSED_RUN = ([], 2, b"error: non-finite chart coordinate\n")
+# Runs far too long to step through, each written from its first row or
+# refused at once: id -> (integrator, simulate flags, what _cli_head reads).
+HUGE_RUNS = {
+    "exact-huge-grid": ("exact", "--mass 1 --g 1 --p0 0 --q0 0 --t-max %r --dt %r"
+                        % HUGE_GRIDS[1][0], ORIGIN),
+    # 1e30 Euler steps: none may be summed before the first row is written.
+    "euler-1e30": ("symplectic_euler", "--mass 1 --g 1 --p0 0 --q0 0 --t-max 1e30 --dt 1", ORIGIN),
+    # 1e15 steps of 1e292 end near 1e307, strided binade by binade, never one at a time.
+    "euler-1e15-huge": ("symplectic_euler", "--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 1e5"
+                        " --dt 1e-10", ORIGIN),
+    # 1e30 steps of 1 from 1e308: p never moves.
+    "euler-stuck": ("symplectic_euler", "--mass 1 --g 1 --p0 1e308 --q0 0 --t-max 1e30 --dt 1",
+                    ([b"t,p,q,H", b"0,1e+308,0,0"], 0, b"")),
+    # 1e16 steps of 1e292 end near 1.1e308, and 2e16 of them overflow.
+    "euler-1e16-huge": ("symplectic_euler", "--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 1e6"
+                        " --dt 1e-10", ORIGIN),
+    "euler-2e16-huge": ("symplectic_euler", "--mass 1e151 --g 1e151 --p0 0 --q0 0 --t-max 2e6"
+                        " --dt 1e-10", REFUSED_RUN),
+    # m*g*dt overflows.
+    "euler-step-overflows": ("symplectic_euler", "--mass 1e160 --g 1 --p0 0 --q0 0 --t-max 1e300"
+                             " --dt 1e154", REFUSED_RUN),
+}
+
+
+@pytest.mark.parametrize("integrator, flags, expected", HUGE_RUNS.values(), ids=list(HUGE_RUNS))
+def test_huge_run_is_decided_at_once(cli_command, integrator, flags, expected):
+    assert _cli_head(cli_command, f"{flags} --integrator {integrator}") == expected

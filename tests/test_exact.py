@@ -29,14 +29,6 @@ LITERALS = {
 }
 
 
-def _corrupted_table():
-    """Antisymmetric, with [P, E] = G*M and [P, M] = P: not a Lie algebra."""
-    c = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = G, -G
-    c[0][2][0], c[2][0][0] = F(1), F(-1)
-    return algebra.BracketTable(c)
-
-
 def test_every_public_function_has_a_case():
     assert set(chain.BUILDERS) == set(chain.PUBLIC)
 
@@ -56,4 +48,4 @@ def test_fraction_inputs_give_exact_results(name):
 def test_exact_results_equal_their_closed_forms():
     # A corrupted table's Jacobi defect is G itself, not a rounding of it.  The
     # other closed forms are the exact model's (test_model.py).
-    assert algebra.jacobi_violation(_corrupted_table()) == G
+    assert algebra.jacobi_violation(chain.corrupted_table(G)) == G

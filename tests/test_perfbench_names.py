@@ -7,18 +7,16 @@ in a benchmark run."""
 import random
 import types
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
 from aristotle import algebra, cli, dynamics, group, orbit, verify
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH
 
 
 @pytest.fixture
 def layers(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.syspath_prepend(PERFBENCH)
     import layers
     monkeypatch.setattr(layers, "LOOP_SAMPLES", 200)
     monkeypatch.setattr(layers, "ALLOC_SAMPLES", 100)

@@ -229,17 +229,6 @@ def test_finite_overflows_on_an_exact_value_as_a_value_class_does():
     assert (type(err.value), str(err.value)) == (type(expected.value), str(expected.value))
 
 
-def _scoped_nodes(tree):
-    """(names of the enclosing classes and functions, node) for every node of tree."""
-    stack = [((), tree)]
-    while stack:
-        scope, node = stack.pop()
-        yield scope, node
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = (*scope, node.name)
-        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
-
-
 def _raises_non_finite(node):
     """Whether node raises a ValueError whose message, a string or an f-string,
     starts with "non-finite"."""
@@ -265,7 +254,7 @@ def test_only_record_fields_refuse_non_finite_inline(module):
     __init__ of a Record subclass, which checks its own fields; every other
     non-finite refusal calls record.finite."""
     inline, elsewhere = [], set()
-    for scope, node in _scoped_nodes(ast.parse(inspect.getsource(module))):
+    for scope, node in chain.scoped_nodes(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "finite":
             assert module.finite is finite
         if not (_raises_non_finite(node) or _tests_finiteness(node)):
@@ -333,7 +322,7 @@ def test_only_record_worst_tests_for_nan():
     found = set()
     for module in (*chain.MODULES, verify, write, cli):
         name = module.__name__.rpartition(".")[2]
-        for scope, node in _scoped_nodes(ast.parse(inspect.getsource(module))):
+        for scope, node in chain.scoped_nodes(ast.parse(inspect.getsource(module))):
             if _self_compared(node) or _calls_isnan(node):
                 found.add(".".join((name, *scope)))
     assert not found, f"tests for NaN outside record.worst: {sorted(found)}"

@@ -14,12 +14,12 @@ The drift is constant, so the exact and the Euler bytes agree on "worked",
 """
 
 import hashlib
-import os
 import subprocess
 
 import pytest
 
 from aristotle import cli
+from conftest import assert_reaped
 
 FLAGS = {
     "worked": ["--mass", "2", "--g", "3", "--p0", "1", "--q0", "5", "--dt", "0.5", "--t-max", "4"],
@@ -179,8 +179,7 @@ def test_out_file_matches_corpus(tmp_path, capsys, use_cpus, name, integrator, f
         assert cli.main(argv) == code
         assert capsys.readouterr().out == ""
         assert _digest(target.read_text(encoding="utf-8")) == digest
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # every forked worker has been waited for
+        assert_reaped()
 
 
 @pytest.mark.parametrize("name, integrator, fmt, code, err, digest", MULTI_CHUNK)

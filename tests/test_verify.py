@@ -78,16 +78,6 @@ def test_no_property_is_looser_than_its_pinned_tolerance_class():
     assert [p.name for p in verify.PROPERTIES if p.tolerance > pinned[p.name]] == []
 
 
-def _own_nodes(function):
-    """The nodes of a function's body, without those of functions nested in it."""
-    stack = list(function.body)
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def test_checks_compare_only_through_violation(monkeypatch):
     """No check folds, measures or scores its own values: each returns a
     verify._violation call, where a NaN anywhere is the worst and a negative
@@ -102,7 +92,8 @@ def test_checks_compare_only_through_violation(monkeypatch):
             assert not isinstance(node, ast.Lambda), (check.name, node.lineno)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("abs", "max"), (check.name, node.lineno)
-        returns = [node for node in _own_nodes(check) if isinstance(node, ast.Return)]
+        returns = [node for scope, node in chain.scoped_nodes(check)
+                   if scope == (check.name,) and isinstance(node, ast.Return)]
         assert returns, check.name
         for node in returns:
             assert isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name), (
